@@ -6,7 +6,10 @@
      dune exec bench/main.exe fig9 fig10-mid
      dune exec bench/main.exe micro        # bechamel micro-benches
 
-   Set TANGO_BENCH_QUICK=1 for shorter measurement windows. *)
+   Set TANGO_BENCH_QUICK=1 for shorter measurement windows, and
+   TANGO_FAILPOINTS to a comma-separated list of cluster failpoint
+   names (e.g. skip-decision-record) to arm them for every run — the
+   sensitivity check of the CI gates. *)
 
 open Tango_objects
 module Tpl = Tango_baselines.Two_phase_locking
@@ -94,6 +97,14 @@ end
 
 let new_runtime ?batch_size cluster name =
   Tango.Runtime.create ?batch_size (Corfu.Cluster.new_client cluster ~name)
+
+(* Commits resolved by the decision-timeout reconstruction so far in
+   this run, summed over hosts. Fault-free runs must report zero. *)
+let watchdog_firings () =
+  List.fold_left
+    (fun n (c : Sim.Metrics.counter_view) ->
+      if c.c_name = "tango.decision_watchdog" then n + c.c_value else n)
+    0 (Sim.Metrics.snapshot ()).Sim.Metrics.counters
 
 (* ------------------------------------------------------------------ *)
 (* Figure 2: sequencer throughput vs number of clients                *)
@@ -384,21 +395,21 @@ let fig9_point ~nodes ~keys ~zipfian =
         done
       done;
       M.window m;
-      (M.tput m, M.goodput m))
+      (M.tput m, M.goodput m, watchdog_firings ()))
 
 let fig9 () =
   section "Figure 9: fully replicated TangoMap — 3R+3W transactions";
-  row "%8s %10s %10s %12s %12s" "dist" "keys" "nodes" "Ktx/s" "Kgoodput/s";
+  row "%8s %10s %10s %12s %12s %9s" "dist" "keys" "nodes" "Ktx/s" "Kgoodput/s" "watchdog";
   List.iter
     (fun zipfian ->
       List.iter
         (fun keys ->
           List.iter
             (fun nodes ->
-              let tput, goodput = fig9_point ~nodes ~keys ~zipfian in
-              row "%8s %10d %10d %12.1f %12.1f"
+              let tput, goodput, watchdog = fig9_point ~nodes ~keys ~zipfian in
+              row "%8s %10d %10d %12.1f %12.1f %9d"
                 (if zipfian then "zipf" else "uniform")
-                keys nodes (tput /. 1e3) (goodput /. 1e3))
+                keys nodes (tput /. 1e3) (goodput /. 1e3) watchdog)
             [ 2; 3; 4; 6; 8 ])
         [ 100; 10_000; 1_000_000 ])
     [ true; false ]
@@ -466,7 +477,7 @@ let fig10_mid_tango ~clients ~cross_pct =
               | Tango.Runtime.Aborted -> false))
         runtimes;
       M.window m;
-      M.goodput m)
+      (M.goodput m, watchdog_firings ()))
 
 let fig10_mid_2pl ~clients ~cross_pct =
   Sim.Engine.run ~seed:(1000 + clients + cross_pct) (fun () ->
@@ -509,12 +520,12 @@ let fig10_mid_2pl ~clients ~cross_pct =
 
 let fig10_mid () =
   section "Figure 10 (Middle): % cross-partition transactions — Tango vs 2PL";
-  row "%8s %14s %14s" "cross-%" "Tango Ktx/s" "2PL Ktx/s";
+  row "%8s %14s %14s %9s" "cross-%" "Tango Ktx/s" "2PL Ktx/s" "watchdog";
   List.iter
     (fun pct ->
-      let tango = fig10_mid_tango ~clients:18 ~cross_pct:pct in
+      let tango, watchdog = fig10_mid_tango ~clients:18 ~cross_pct:pct in
       let tpl = fig10_mid_2pl ~clients:18 ~cross_pct:pct in
-      row "%8d %14.1f %14.1f" pct (tango /. 1e3) (tpl /. 1e3))
+      row "%8d %14.1f %14.1f %9d" pct (tango /. 1e3) (tpl /. 1e3) watchdog)
     [ 0; 1; 2; 4; 8; 16; 32; 64; 100 ]
 
 (* ------------------------------------------------------------------ *)
@@ -551,15 +562,15 @@ let fig10_right_point ~common_pct =
         done
       done;
       M.window m;
-      (M.tput m, M.goodput m))
+      (M.tput m, M.goodput m, watchdog_firings ()))
 
 let fig10_right () =
   section "Figure 10 (Right): 4 clients, private + shared TangoMap";
-  row "%9s %12s %14s" "common-%" "Ktx/s" "Kgoodput/s";
+  row "%9s %12s %14s %9s" "common-%" "Ktx/s" "Kgoodput/s" "watchdog";
   List.iter
     (fun pct ->
-      let tput, goodput = fig10_right_point ~common_pct:pct in
-      row "%9d %12.1f %14.1f" pct (tput /. 1e3) (goodput /. 1e3))
+      let tput, goodput, watchdog = fig10_right_point ~common_pct:pct in
+      row "%9d %12.1f %14.1f %9d" pct (tput /. 1e3) (goodput /. 1e3) watchdog)
     [ 0; 1; 2; 4; 8; 16; 32; 64; 100 ]
 
 (* ------------------------------------------------------------------ *)
@@ -1829,6 +1840,11 @@ let () =
     | x :: rest -> split (x :: names) json rest
   in
   let names, json = split [] None (List.tl (Array.to_list Sys.argv)) in
+  Option.iter
+    (fun fps ->
+      List.iter Corfu.Cluster.enable_failpoint
+        (List.filter (( <> ) "") (String.split_on_char ',' fps)))
+    (Sys.getenv_opt "TANGO_FAILPOINTS");
   if json <> None then Report.enable ();
   (match names with
   | [] ->

@@ -940,7 +940,8 @@ let failpoint_arg =
     & info [ "failpoint" ] ~docv:"NAME"
         ~doc:
           "Enable a cluster failpoint for every run (sensitivity testing): skip-rebuild-scan, \
-           forget-seal-tail, skip-storage-seal, blind-commit-apply or stall-reconfig.")
+           forget-seal-tail, skip-storage-seal, blind-commit-apply, skip-decision-record or \
+           stall-reconfig.")
 
 let specs_arg =
   Arg.(

@@ -62,8 +62,9 @@ type t = {
   decided : (int, bool) Hashtbl.t;
   undecided : (int, Record.commit) Hashtbl.t;
   own_commits : (int, Record.commit) Hashtbl.t;
-      (* commit records this runtime generated: needed to combine
-         partial verdicts for fully-remote transactions *)
+      (* commit records this runtime generated and has not finished
+         with; collaborative ones stay, to combine partial verdicts for
+         fully-remote transactions *)
   partials : (int, (int, bool) Hashtbl.t) Hashtbl.t;  (* cpos -> oid -> verdict *)
   partials_emitted : (int * int, unit) Hashtbl.t;  (* (cpos, oid) *)
   remote_peers : (int, (remote_read_request, remote_read_response) Sim.Net.service) Hashtbl.t;
@@ -77,6 +78,7 @@ type t = {
   mutable stats_applied : int;
   mutable stats_commits : int;
   mutable stats_aborts : int;
+  mutable watchdog_firings : int;
   (* Lag watermarks: the highest global tail learned from the
      sequencer, the exclusive offset playback has consumed to, and the
      trim horizon — their gaps are the playback-lag and trim-lag
@@ -88,6 +90,7 @@ type t = {
   commits_c : Sim.Metrics.counter;
   aborts_c : Sim.Metrics.counter;
   conflicts_c : Sim.Metrics.counter;
+  watchdog_c : Sim.Metrics.counter;
   apply_h : Sim.Metrics.histogram;  (* one playback sweep *)
   tx_h : Sim.Metrics.histogram;  (* begin_tx .. end_tx *)
 }
@@ -123,6 +126,7 @@ let create ?batch_size ?linger_us ?(decision_timeout_us = 50_000.) cl =
     stats_applied = 0;
     stats_commits = 0;
     stats_aborts = 0;
+    watchdog_firings = 0;
     known_tail = 0;
     played_upto = 0;
     trimmed_below = 0;
@@ -130,6 +134,7 @@ let create ?batch_size ?linger_us ?(decision_timeout_us = 50_000.) cl =
     commits_c = Sim.Metrics.counter ~host:host_name "runtime.commits";
     aborts_c = Sim.Metrics.counter ~host:host_name "runtime.aborts";
     conflicts_c = Sim.Metrics.counter ~host:host_name "runtime.version_conflicts";
+    watchdog_c = Sim.Metrics.counter ~host:host_name "tango.decision_watchdog";
     apply_h = Sim.Metrics.histogram ~host:host_name "playback.apply_us";
     tx_h = Sim.Metrics.histogram ~host:host_name "tx.duration_us";
   }
@@ -266,6 +271,10 @@ let announce_applied t pos =
    types but is more readable next to [handle_commit]. *)
 let eager_outcome_ref : (t -> int -> Record.commit -> bool option) ref =
   ref (fun _ _ _ -> None)
+
+(* Forward reference: playback to the log tail, defined with the
+   playback loop that reaches [spawn_decision_watchdog]. *)
+let catch_up_ref : (t -> unit) ref = ref (fun _ -> ())
 
 (* Mutually recursive resolution machinery: resolving a decision
    drains frozen queues, which can surface the next commit point,
@@ -455,15 +464,14 @@ and publish_decision t cpos c final =
 (* If no decision record shows up (the generator crashed between the
    commit and decision appends), reconstruct the outcome
    deterministically from the log and publish it (§4.1, Failure
-   Handling). *)
+   Handling). A consumer that stopped playing has not seen the record
+   even when it is there, so look before reconstructing. *)
 and spawn_decision_watchdog t cpos c =
   Sim.Engine.spawn (fun () ->
       Sim.Engine.sleep t.decision_timeout_us;
+      if Hashtbl.mem t.undecided cpos then !catch_up_ref t;
       if Hashtbl.mem t.undecided cpos then begin
-        Sim.Trace.f "tango" "%s decision timeout @%d: reconstructing from the log"
-          (Sim.Net.host_name (Corfu.Client.host t.cl))
-          cpos;
-        let committed = reconstruct_outcome t cpos c in
+        let committed = reconstruct_after_timeout t cpos c in
         Sim.Resource.acquire t.play_lock;
         Fun.protect
           ~finally:(fun () -> Sim.Resource.release t.play_lock)
@@ -476,34 +484,66 @@ and spawn_decision_watchdog t cpos c =
              (Record.Decision { d_target = cpos; d_committed = committed }))
       end)
 
+(* The decision-timeout fallback, counted and announced: fault-free
+   runs should never get here. *)
+and reconstruct_after_timeout t cpos c =
+  Sim.Trace.f "tango" "%s decision timeout @%d: reconstructing from the log" (announce_host t) cpos;
+  let committed, scanned = reconstruct_outcome t cpos c in
+  t.watchdog_firings <- t.watchdog_firings + 1;
+  Sim.Metrics.incr t.watchdog_c;
+  if Sim.Announce.active () then
+    Sim.Announce.emit
+      (Sim.Announce.Decision_watchdog { client = announce_host t; pos = cpos; scanned });
+  committed
+
 (* Deterministic replay of the read set's streams: did any read key
    change between its recorded version and the commit position? Inner
    commit records met during the scan are resolved from decision
-   records in the log, previously known outcomes, or recursively. *)
+   records in the scanned window, previously known outcomes, or
+   recursively. Bounded: a stream is walked only down to the lowest
+   recorded version asked of it, only entries below the commit
+   position are decoded, and the decoded windows are shared across the
+   recursion, so each entry is fetched and decoded at most once per
+   call. Returns the outcome and the number of entries decoded. *)
 and reconstruct_outcome t cpos (c : Record.commit) =
-  let memo = Hashtbl.create 8 in
+  let top = Record.pos_offset cpos in
+  let scanned = ref 0 in
+  let outcomes = Hashtbl.create 8 in
+  (* oid -> (lowest offset decoded, records at offsets up to [top]) *)
+  let windows = Hashtbl.create 8 in
   let key_conflicts wkey rkey =
     match (wkey, rkey) with None, _ | _, None -> true | Some a, Some b -> String.equal a b
   in
-  let scan_records oid =
-    (* Fresh stream walk over [oid]'s history; positions ascending. *)
-    let s = Corfu.Stream.attach t.cl oid in
+  (* [oid]'s records at offsets in [from, below), positions ascending. *)
+  let scan oid ~from ~below =
+    let s = Corfu.Stream.attach ~from t.cl oid in
     ignore (Corfu.Stream.sync s);
     let rec collect acc =
       match Corfu.Stream.readnext s with
-      | None -> List.rev acc
-      | Some (off, entry) ->
+      | Some (off, entry) when off < below ->
+          incr scanned;
           let records = Record.decode_payload entry.Corfu.Types.payload in
           let tagged = List.mapi (fun slot r -> (Record.pos ~offset:off ~slot, r)) records in
           collect (List.rev_append tagged acc)
+      | Some _ | None -> List.rev acc
     in
     collect []
+  in
+  let records_after oid after =
+    let from = Record.pos_offset (after + 1) in
+    match Hashtbl.find_opt windows oid with
+    | Some (lowest, records) when lowest <= from -> records
+    | known ->
+        let lowest, above = Option.value known ~default:(top + 1, []) in
+        let records = scan oid ~from ~below:lowest @ above in
+        Hashtbl.replace windows oid (from, records);
+        records
   in
   let rec outcome_of pos (c : Record.commit) =
     match Hashtbl.find_opt t.decided pos with
     | Some o -> o
     | None -> (
-        match Hashtbl.find_opt memo pos with
+        match Hashtbl.find_opt outcomes pos with
         | Some o -> o
         | None ->
             let o =
@@ -511,10 +551,10 @@ and reconstruct_outcome t cpos (c : Record.commit) =
                 (fun (oid, key, recorded) -> not (modified_between oid key ~after:recorded ~before:pos))
                 c.c_reads
             in
-            Hashtbl.replace memo pos o;
+            Hashtbl.replace outcomes pos o;
             o)
   and modified_between oid key ~after ~before =
-    let records = scan_records oid in
+    let records = records_after oid after in
     let decisions =
       List.filter_map
         (function
@@ -539,7 +579,8 @@ and reconstruct_outcome t cpos (c : Record.commit) =
         | Record.Decision _ | Record.Partial _ | Record.Checkpoint _ -> false)
       records
   in
-  outcome_of cpos c
+  let committed = outcome_of cpos c in
+  (committed, !scanned)
 
 (* ------------------------------------------------------------------ *)
 (* Playback                                                           *)
@@ -667,10 +708,18 @@ let process_entry t off (entry : Corfu.Types.entry) =
         | Record.Update u ->
             if Hashtbl.mem t.objects u.Record.u_oid then charge_apply t;
             deliver_update t pos u
-        | Record.Commit c ->
-            let involved = involved_hosted t c in
-            if involved <> [] then charge_apply t;
-            handle_commit t pos ~involved c
+        | Record.Commit c -> (
+            (* The batcher packs records for different streams into one
+               entry, so a commit can arrive here on an entry fetched
+               for some other hosted stream. If it involves no hosted
+               object, no view depends on its outcome: ignore it rather
+               than park it behind a decision record that never comes
+               (its generator and the hosts of its objects decide it). *)
+            match involved_hosted t c with
+            | [] -> ()
+            | involved ->
+                charge_apply t;
+                handle_commit t pos ~involved c)
         | Record.Decision { d_target; d_committed } ->
             charge_apply t;
             resolve t d_target d_committed
@@ -754,6 +803,8 @@ let play_to t upto =
           (fun () -> Sim.Metrics.time t.apply_h (fun () -> play_merged t ~upto))
       else Sim.Metrics.time t.apply_h (fun () -> play_merged t ~upto);
       if upto > t.played_upto then t.played_upto <- upto)
+
+let () = catch_up_ref := fun t -> play_to t (sync_all t)
 
 let obj_settled ho = ho.blocked_on = None && Queue.is_empty ho.waiting
 
@@ -960,7 +1011,7 @@ let await_decided_scanning t cpos (c : Record.commit) =
         consume ();
         if Hashtbl.mem t.decided cpos then loop backoff
         else if Sim.Engine.now () > deadline then begin
-          let outcome = reconstruct_outcome t cpos c in
+          let outcome = reconstruct_after_timeout t cpos c in
           resolve t cpos outcome;
           publish_decision t cpos c outcome;
           outcome
@@ -1083,10 +1134,16 @@ let end_tx ?(stale = false) t =
           end
         end
       in
-      if needs_decision && not collaborative then
+      if
+        needs_decision && (not collaborative)
+        && not Corfu.Cluster.failpoints.Corfu.Cluster.fp_skip_decision_record
+      then
         ignore
           (Batcher.submit t.batcher ~streams:wstreams
              (Record.Decision { d_target = cpos; d_committed = committed }));
+      (* Decided and its decision submitted: nothing reads this commit
+         record again except collaborative combining. *)
+      if not collaborative then Hashtbl.remove t.own_commits cpos;
       finish (if committed then Committed else Aborted)
 
 (* ------------------------------------------------------------------ *)
@@ -1124,6 +1181,7 @@ let trim_below t off =
 (* ------------------------------------------------------------------ *)
 
 let applied_records t = t.stats_applied
+let watchdog_firings t = t.watchdog_firings
 let commits t = t.stats_commits
 let aborts t = t.stats_aborts
 

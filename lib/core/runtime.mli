@@ -32,12 +32,16 @@
     decision record so that consumer can learn the outcome without
     remote state (§4.1 case C).
 
+    Playback ignores commit records that involve no hosted object (an
+    entry carries records for several streams, so such records arrive
+    alongside hosted ones); no hosted view depends on their outcome.
     A consumer that encounters a commit record it cannot decide parks
     the affected objects: subsequent records for them are buffered and
-    applied only once a decision record arrives. If none arrives
-    within the decision timeout (generator crash), the consumer
-    reconstructs the outcome deterministically from the log (§4.1,
-    Failure Handling). *)
+    applied only once a decision record arrives. If none has arrived
+    when the decision timeout expires, the consumer plays the log to
+    its tail (it may simply have been idle); if the record is still
+    missing (generator crash), it reconstructs the outcome
+    deterministically from the log (§4.1, Failure Handling). *)
 
 type t
 
@@ -186,6 +190,12 @@ val trim_below : t -> Corfu.Types.offset -> unit
 val version_of : t -> oid:int -> ?key:string -> unit -> int
 
 val applied_records : t -> int
+
+(** Commits this runtime resolved by reconstructing the outcome from
+    the log because no decision record arrived within the decision
+    timeout (the §4.1 crash fallback; also the [tango.decision_watchdog]
+    counter). Zero in fault-free runs. *)
+val watchdog_firings : t -> int
 val commits : t -> int
 val aborts : t -> int
 

@@ -43,6 +43,7 @@ type failpoints = {
   mutable fp_forget_seal_tail : bool;
   mutable fp_skip_storage_seal : bool;
   mutable fp_blind_commit_apply : bool;
+  mutable fp_skip_decision_record : bool;
   mutable fp_stall_reconfig : bool;
 }
 
@@ -52,6 +53,7 @@ let failpoints =
     fp_forget_seal_tail = false;
     fp_skip_storage_seal = false;
     fp_blind_commit_apply = false;
+    fp_skip_decision_record = false;
     fp_stall_reconfig = false;
   }
 
@@ -60,6 +62,7 @@ let reset_failpoints () =
   failpoints.fp_forget_seal_tail <- false;
   failpoints.fp_skip_storage_seal <- false;
   failpoints.fp_blind_commit_apply <- false;
+  failpoints.fp_skip_decision_record <- false;
   failpoints.fp_stall_reconfig <- false
 
 let enable_failpoint = function
@@ -67,6 +70,7 @@ let enable_failpoint = function
   | "forget-seal-tail" -> failpoints.fp_forget_seal_tail <- true
   | "skip-storage-seal" -> failpoints.fp_skip_storage_seal <- true
   | "blind-commit-apply" -> failpoints.fp_blind_commit_apply <- true
+  | "skip-decision-record" -> failpoints.fp_skip_decision_record <- true
   | "stall-reconfig" -> failpoints.fp_stall_reconfig <- true
   | name -> invalid_arg (Printf.sprintf "Cluster.enable_failpoint: unknown failpoint %S" name)
 

@@ -197,6 +197,12 @@ type failpoints = {
       (** runtime playback applies commit writes without waiting for
           (or recording) the commit/abort decision — the isolation
           leak the ReadCommitted spec machine exists to catch *)
+  mutable fp_skip_decision_record : bool;
+      (** [Runtime.end_tx] returns without appending the decision
+          record a [needs_decision] commit owes its consumers — the
+          generator crashing between the commit and decision appends
+          (§4.1, Failure Handling), so consumers lacking the read set
+          must reconstruct the outcome from the log *)
   mutable fp_stall_reconfig : bool;
       (** {!replace_sequencer} wedges right after starting: the seal
           happens but no new epoch ever installs, so the
@@ -209,7 +215,7 @@ val reset_failpoints : unit -> unit
 (** [enable_failpoint name] sets one flag by its kebab-case name
     (["skip-rebuild-scan"], ["forget-seal-tail"],
     ["skip-storage-seal"], ["blind-commit-apply"],
-    ["stall-reconfig"]) — the [tangoctl fuzz --failpoint] hook.
+    ["skip-decision-record"], ["stall-reconfig"]) — the [tangoctl fuzz --failpoint] hook.
     @raise Invalid_argument on an unknown name. *)
 val enable_failpoint : string -> unit
 

@@ -5,6 +5,7 @@ type t = {
   mutable len : int;
   mutable cursor : int;
   mutable horizon : Types.offset;  (* membership complete below this *)
+  from : Types.offset;  (* offsets below this are never members *)
   mutable sync_read_count : int;
   mutable trim_gap : bool;  (* reclaimed history was skipped *)
   mutable prefetch_window : int;  (* adapts between params bounds *)
@@ -13,7 +14,7 @@ type t = {
   mutable cache_misses : int;
 }
 
-let attach cl sid =
+let attach ?(from = 0) cl sid =
   {
     cl;
     sid;
@@ -21,6 +22,7 @@ let attach cl sid =
     len = 0;
     cursor = 0;
     horizon = 0;
+    from;
     sync_read_count = 0;
     trim_gap = false;
     prefetch_window = (Client.params cl).Sim.Params.prefetch_min;
@@ -41,7 +43,7 @@ let cache_misses t = t.cache_misses
 let has_trim_gap t = t.trim_gap
 let clear_trim_gap t = t.trim_gap <- false
 
-let known_max t = if t.len > 0 then t.offsets.(t.len - 1) else -1
+let known_max t = if t.len > 0 then t.offsets.(t.len - 1) else t.from - 1
 
 let push_members t members =
   (* [members] is the set of newly discovered offsets, any order. *)

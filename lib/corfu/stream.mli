@@ -16,9 +16,12 @@
 
 type t
 
-(** [attach client id] starts following stream [id]. No I/O happens
-    until the first {!sync}. *)
-val attach : Client.t -> Types.stream_id -> t
+(** [attach ?from client id] starts following stream [id]. No I/O
+    happens until the first {!sync}. With [from], the stream starts at
+    that offset: the backward walk stops there instead of at offset 0,
+    so a reader interested only in recent history pays for that
+    history alone. *)
+val attach : ?from:Types.offset -> Client.t -> Types.stream_id -> t
 
 val id : t -> Types.stream_id
 val client : t -> Client.t

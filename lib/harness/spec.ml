@@ -167,7 +167,9 @@ let on_event t (ev : Sim.Announce.event) =
       | Some (`Injected key) -> note_injected t key
       | Some (`Repaired key) -> note_repaired t key
       | None -> ())
-  | Sim.Announce.Offset_readable _ | Sim.Announce.Tx_begin _ | Sim.Announce.Tx_finish _ -> ()
+  | Sim.Announce.Offset_readable _ | Sim.Announce.Tx_begin _ | Sim.Announce.Tx_finish _
+  | Sim.Announce.Decision_watchdog _ ->
+      ()
 
 (* ------------------------------------------------------------------ *)
 (* Deadline evaluation (checker fiber / drain)                        *)

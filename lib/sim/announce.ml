@@ -14,6 +14,7 @@ type event =
   | Tx_finish of { client : string; committed : bool }
   | Commit_decided of { client : string; pos : int; committed : bool }
   | Commit_applied of { client : string; pos : int }
+  | Decision_watchdog of { client : string; pos : int; scanned : int }
   | Reconfig_started of { kind : string }
   | Reconfig_installed of { kind : string; epoch : int }
   | Fault_injected of { key : string }

@@ -31,6 +31,11 @@ type event =
   | Commit_applied of { client : string; pos : int }
       (** [client]'s playback applied the writes of the commit at
           [pos] to its hosted views. *)
+  | Decision_watchdog of { client : string; pos : int; scanned : int }
+      (** No decision record for the commit at [pos] reached [client]
+          in time, so it reconstructed the outcome from the log,
+          decoding [scanned] entries of the read-set streams (§4.1,
+          Failure Handling). *)
   | Reconfig_started of { kind : string }
       (** A seal/scale/replace operation of [kind] began. *)
   | Reconfig_installed of { kind : string; epoch : int }

@@ -72,9 +72,9 @@ module Map_obj = struct
     let v = String.sub s (colon + 1 + klen) (String.length s - colon - 1 - klen) in
     (k, v)
 
-  let attach rt ~oid =
+  let attach ?needs_decision rt ~oid =
     let t = { rt; moid = oid; tbl = Hashtbl.create 16 } in
-    Runtime.register rt ~oid
+    Runtime.register rt ~oid ?needs_decision
       {
         Runtime.apply =
           (fun ~pos:_ ~key:_ data ->
@@ -663,6 +663,183 @@ let test_decision_watchdog_reconstructs () =
         (Map_obj.get sink "out");
       check_bool "waited for the timeout" true (Sim.Engine.now () -. started >= 20_000.))
 
+(* Every record on [sid]'s entries, in log order. *)
+let stream_records rt sid =
+  let s = Corfu.Stream.attach (Runtime.client rt) sid in
+  ignore (Corfu.Stream.sync s);
+  let rec collect acc =
+    match Corfu.Stream.readnext s with
+    | None -> List.concat (List.rev acc)
+    | Some (_, entry) -> collect (Record.decode_payload entry.Corfu.Types.payload :: acc)
+  in
+  collect []
+
+(* A linearizable snapshot of a map's bindings. *)
+let map_bindings (m : Map_obj.t) =
+  ignore (Map_obj.size m);
+  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) m.Map_obj.tbl [])
+
+let sum_counter name =
+  List.fold_left
+    (fun n (c : Sim.Metrics.counter_view) -> if c.c_name = name then n + c.c_value else n)
+    0 (Sim.Metrics.snapshot ()).Sim.Metrics.counters
+
+let test_playback_ignores_unhosted_commits () =
+  (* The batcher packs a private-map commit and a shared-map commit
+     into one entry tagged with both streams, so the peer following
+     the shared map also fetches the private commit. That commit
+     involves nothing the peer hosts and owes no decision record: the
+     peer must ignore it, not wait out the decision timeout and
+     reconstruct its outcome. *)
+  with_cluster (fun cluster ->
+      let mk name =
+        Runtime.create ~batch_size:2 ~linger_us:5_000. ~decision_timeout_us:20_000.
+          (Corfu.Cluster.new_client cluster ~name)
+      in
+      let gen = mk "gen" and peer = mk "peer" in
+      let priv = Map_obj.attach gen ~oid:1 in
+      let _ = Map_obj.attach peer ~oid:2 in
+      let shared_g = Map_obj.attach gen ~oid:100 ~needs_decision:true in
+      let shared_p = Map_obj.attach peer ~oid:100 ~needs_decision:true in
+      Sim.Engine.spawn (fun () -> Map_obj.put priv "a" "0");
+      Map_obj.put priv "b" "0";
+      let done_ = ref 0 in
+      let tx body =
+        Sim.Engine.spawn (fun () ->
+            Runtime.begin_tx gen;
+            body ();
+            Alcotest.check check_status "commits" Runtime.Committed (Runtime.end_tx gen);
+            incr done_)
+      in
+      (* private only: 1R+1W on map 1 *)
+      tx (fun () ->
+          ignore (Map_obj.get priv "a");
+          Map_obj.put priv "a" "1");
+      (* shared: reads the private map, writes the shared one *)
+      tx (fun () ->
+          ignore (Map_obj.get priv "b");
+          Map_obj.put shared_g "x" "1");
+      while !done_ < 2 do
+        Sim.Engine.sleep 1_000.
+      done;
+      let commits_on sid =
+        List.filter_map
+          (function
+            | Record.Commit c ->
+                Some (List.map (fun (u : Record.update) -> u.Record.u_oid) c.Record.c_writes)
+            | _ -> None)
+          (stream_records gen sid)
+      in
+      Alcotest.(check (list (list int)))
+        "precondition: both commits share the shared map's entry" [ [ 1 ]; [ 100 ] ]
+        (commits_on 100);
+      Alcotest.(check (option string)) "peer sees the shared write" (Some "1")
+        (Map_obj.get shared_p "x");
+      (* Long past the decision timeout. *)
+      Sim.Engine.sleep 100_000.;
+      ignore (Map_obj.get shared_p "x");
+      check_int "peer's watchdog never fired" 0 (Runtime.watchdog_firings peer);
+      check_int "no tango.decision_watchdog firings" 0 (sum_counter "tango.decision_watchdog");
+      check_bool "no decision record on the private stream" false
+        (List.exists (function Record.Decision _ -> true | _ -> false) (stream_records gen 1));
+      Alcotest.(check (list (pair string string)))
+        "both runtimes agree on the shared bindings" (map_bindings shared_g) (map_bindings shared_p))
+
+(* One forged crash (a commit with no decision record) after [n]
+   unrelated updates below the recorded read version: the entries the
+   reconstruction announces it decoded, and the storage reads it cost. *)
+let reconstruction_cost n =
+  with_cluster (fun cluster ->
+      let gen = runtime ~decision_timeout_us:20_000. cluster "gen" in
+      let consumer = runtime ~decision_timeout_us:20_000. cluster "consumer" in
+      let src = Map_obj.attach gen ~oid:1 in
+      let sink = Map_obj.attach consumer ~oid:2 in
+      for i = 1 to n do
+        Map_obj.put src (Printf.sprintf "u%d" i) "x"
+      done;
+      Map_obj.put src "k" "v";
+      ignore (Map_obj.get src "k");
+      let scans = ref [] in
+      Sim.Announce.subscribe (function
+        | Sim.Announce.Decision_watchdog { scanned; _ } -> scans := scanned :: !scans
+        | _ -> ());
+      let commit =
+        Record.Commit
+          {
+            Record.c_reads = [ (1, Some "k", Runtime.version_of gen ~oid:1 ~key:"k" ()) ];
+            c_writes = [ { Record.u_oid = 2; u_key = Some "out"; u_data = Map_obj.encode "out" "ok" } ];
+            c_needs_decision = true;
+          }
+      in
+      let reads0 = sum_counter "ssd.reads" in
+      ignore
+        (Corfu.Client.append (Runtime.client gen) ~streams:[ 2 ] (Record.encode_payload [ commit ]));
+      Alcotest.(check (option string)) "reconstructed and applied" (Some "ok")
+        (Map_obj.get sink "out");
+      Sim.Engine.sleep 10_000.;
+      check_int "one firing" 1 (Runtime.watchdog_firings consumer);
+      (!scans, sum_counter "ssd.reads" - reads0))
+
+let test_reconstruction_bounded () =
+  let scans_small, reads_small = reconstruction_cost 10 in
+  let scans_big, reads_big = reconstruction_cost 1_000 in
+  Alcotest.(check (list int)) "one announced scan of one entry" [ 1 ] scans_small;
+  Alcotest.(check (list int)) "scan length independent of history" scans_small scans_big;
+  check_int "storage reads independent of history" reads_small reads_big
+
+(* 4 clients, each hosting a private map and the shared
+   [needs_decision] map, run private and shared transactions
+   concurrently; returns the watchdog firings and every client's view
+   of the shared map. *)
+let shared_map_run ~skip_decisions =
+  Fun.protect ~finally:Corfu.Cluster.reset_failpoints (fun () ->
+      if skip_decisions then Corfu.Cluster.enable_failpoint "skip-decision-record";
+      with_cluster (fun cluster ->
+          let clients =
+            List.init 4 (fun i ->
+                let rt = runtime ~decision_timeout_us:20_000. cluster (Printf.sprintf "c%d" i) in
+                (rt, Map_obj.attach rt ~oid:(i + 1), Map_obj.attach rt ~oid:100 ~needs_decision:true))
+          in
+          let running = ref 0 in
+          List.iteri
+            (fun i (rt, priv, shared) ->
+              for w = 0 to 1 do
+                incr running;
+                Sim.Engine.spawn (fun () ->
+                    for j = 0 to 7 do
+                      Runtime.begin_tx rt;
+                      ignore (Map_obj.get priv (Printf.sprintf "p%d" j));
+                      Map_obj.put priv (Printf.sprintf "p%d" ((j + 1) mod 8)) (string_of_int j);
+                      if (j + w) mod 2 = 0 then
+                        Map_obj.put shared (Printf.sprintf "s%d" (j mod 3)) (Printf.sprintf "%d.%d" i j);
+                      ignore (Runtime.end_tx rt)
+                    done;
+                    decr running)
+              done)
+            clients;
+          while !running > 0 do
+            Sim.Engine.sleep 1_000.
+          done;
+          (* Past the decision timeout of the last commits. *)
+          Sim.Engine.sleep 50_000.;
+          let views = List.map (fun (_, _, shared) -> map_bindings shared) clients in
+          let firings = List.fold_left (fun n (rt, _, _) -> n + Runtime.watchdog_firings rt) 0 clients in
+          (firings, views)))
+
+let test_skip_decision_record () =
+  let check_converged label views =
+    List.iter
+      (fun v -> Alcotest.(check (list (pair string string))) label (List.hd views) v)
+      views;
+    check_bool (label ^ ": shared map written") true (List.hd views <> [])
+  in
+  let firings, views = shared_map_run ~skip_decisions:true in
+  check_bool "without decision records the watchdog fires" true (firings > 0);
+  check_converged "hosts converge through reconstruction" views;
+  let firings, views = shared_map_run ~skip_decisions:false in
+  check_int "with decision records it never fires" 0 firings;
+  check_converged "hosts converge" views
+
 let prop_concurrent_counter_serializable =
   (* N clients transactionally increment one register; committed
      increments must be exactly the final value (lost-update freedom,
@@ -1015,6 +1192,10 @@ let () =
           Alcotest.test_case "nested tx rejected" `Quick test_tx_nested_rejected;
           Alcotest.test_case "decision watchdog reconstructs" `Quick
             test_decision_watchdog_reconstructs;
+          Alcotest.test_case "playback ignores unhosted commits" `Quick
+            test_playback_ignores_unhosted_commits;
+          Alcotest.test_case "reconstruction is bounded" `Quick test_reconstruction_bounded;
+          Alcotest.test_case "skip-decision-record converges" `Quick test_skip_decision_record;
         ] );
       ( "checkpoint-gc-directory",
         [
