@@ -34,6 +34,12 @@ type hosted = {
   mutable extra_views : callbacks list;
       (* additional in-memory representations sharing this stream *)
   waiting : (int * pending_action) Queue.t;
+  (* Versions (§3.2): positions of the last applied modification of the
+     object as a whole ([v_any]), of a whole-object update or
+     checkpoint base ([v_whole]), and of each key. *)
+  mutable v_any : int;
+  mutable v_whole : int;
+  v_keys : (string, int) Hashtbl.t;
 }
 
 type txctx = {
@@ -55,9 +61,6 @@ type t = {
   dispatch : Sim.Resource.t;
   play_lock : Sim.Resource.t;
   objects : (int, hosted) Hashtbl.t;
-  last_any : (int, int) Hashtbl.t;
-  last_key : (int * string, int) Hashtbl.t;
-  last_whole : (int, int) Hashtbl.t;
   processed : (int, unit) Hashtbl.t;
   decided : (int, bool) Hashtbl.t;
   undecided : (int, Record.commit) Hashtbl.t;
@@ -106,9 +109,6 @@ let create ?batch_size ?linger_us ?(decision_timeout_us = 50_000.) cl =
     dispatch = Sim.Resource.create ~name:(host_name ^ ".tango-dispatch") ~capacity:1 ();
     play_lock = Sim.Resource.create ~name:(host_name ^ ".tango-playback") ~capacity:1 ();
     objects = Hashtbl.create 16;
-    last_any = Hashtbl.create 64;
-    last_key = Hashtbl.create 256;
-    last_whole = Hashtbl.create 64;
     processed = Hashtbl.create 4096;
     decided = Hashtbl.create 256;
     undecided = Hashtbl.create 16;
@@ -160,6 +160,9 @@ let register t ~oid ?(needs_decision = false) cb =
       serve_read = None;
       extra_views = [];
       waiting = Queue.create ();
+      v_any = -1;
+      v_whole = -1;
+      v_keys = Hashtbl.create 16;
     }
 
 let register_extra_view t ~oid cb =
@@ -176,18 +179,23 @@ let hosted_list t = Hashtbl.fold (fun _ ho acc -> ho :: acc) t.objects []
 (* Versions                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let find_version tbl key = match Hashtbl.find_opt tbl key with Some v -> v | None -> -1
-
+(* Only hosted objects are ever modified here; any other is at -1. *)
 let version_of t ~oid ?key () =
-  match key with
-  | None -> find_version t.last_any oid
-  | Some k -> max (find_version t.last_key (oid, k)) (find_version t.last_whole oid)
+  match Hashtbl.find_opt t.objects oid with
+  | None -> -1
+  | Some ho -> (
+      match key with
+      | None -> ho.v_any
+      | Some k -> (
+          match Hashtbl.find_opt ho.v_keys k with
+          | Some v -> max v ho.v_whole
+          | None -> ho.v_whole))
 
-let bump_version t oid key pos =
-  Hashtbl.replace t.last_any oid pos;
+let bump_version ho key pos =
+  ho.v_any <- pos;
   match key with
-  | None -> Hashtbl.replace t.last_whole oid pos
-  | Some k -> Hashtbl.replace t.last_key (oid, k) pos
+  | None -> ho.v_whole <- pos
+  | Some k -> Hashtbl.replace ho.v_keys k pos
 
 (* ------------------------------------------------------------------ *)
 (* Applying records                                                   *)
@@ -199,7 +207,7 @@ let bump_version t oid key pos =
 let apply_now t ho pos (u : Record.update) =
   ho.cb.apply ~pos ~key:u.u_key u.u_data;
   List.iter (fun (cb : callbacks) -> cb.apply ~pos ~key:u.u_key u.u_data) ho.extra_views;
-  bump_version t ho.oid u.u_key pos;
+  bump_version ho u.u_key pos;
   t.stats_applied <- t.stats_applied + 1;
   Sim.Metrics.incr t.applied_c
 
@@ -227,10 +235,10 @@ let purge_below ho base =
    in which case the snapshot is the repair: records buffered since
    the gap that the snapshot covers (pos <= base) are discarded, the
    rest replay after it. Otherwise skip it — the view is ahead. *)
-let load_checkpoint_now t ho ~base data =
+let load_checkpoint_now ho ~base data =
   match ho.cb.load_checkpoint with
   | Some load ->
-      if ho.gap_pending || find_version t.last_any ho.oid < base then begin
+      if ho.gap_pending || ho.v_any < base then begin
         load data;
         List.iter
           (fun (cb : callbacks) ->
@@ -238,8 +246,7 @@ let load_checkpoint_now t ho ~base data =
           ho.extra_views;
         ho.gap_pending <- false;
         purge_below ho base;
-        if base >= 0 && find_version t.last_any ho.oid < base then
-          bump_version t ho.oid None base
+        if base >= 0 && ho.v_any < base then bump_version ho None base
       end
   | None -> ()
 
@@ -312,7 +319,7 @@ and drain t ho =
         drain t ho
     | Apply_checkpoint { base; data } ->
         ignore (Queue.pop ho.waiting);
-        load_checkpoint_now t ho ~base data;
+        load_checkpoint_now ho ~base data;
         drain t ho
     | Commit_point { cpos; writes } -> (
         match Hashtbl.find_opt t.decided cpos with
@@ -735,7 +742,7 @@ let process_entry t off (entry : Corfu.Types.entry) =
                 if ho.blocked_on <> None then
                   Queue.add (pos, Apply_checkpoint { base = k_base; data = k_data }) ho.waiting
                 else begin
-                  load_checkpoint_now t ho ~base:k_base k_data;
+                  load_checkpoint_now ho ~base:k_base k_data;
                   (* records buffered during the gap and not covered by
                      the snapshot replay now *)
                   drain t ho
@@ -1161,7 +1168,7 @@ let checkpoint t ~oid =
       | None -> invalid_arg "Runtime.checkpoint: object has no checkpoint callback"
       | Some snapshot ->
           let data = snapshot () in
-          let base = find_version t.last_any oid in
+          let base = ho.v_any in
           let pos =
             Batcher.submit t.batcher ~streams:[ oid ]
               (Record.Checkpoint { k_oid = oid; k_base = base; k_data = data })

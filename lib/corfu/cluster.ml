@@ -890,14 +890,14 @@ let retire_trimmed_segments t =
 
 let start_failure_monitor ?(probe_interval_us = 20_000.) ?(probe_timeout_us = 10_000.) t =
   Sim.Engine.spawn (fun () ->
-      let probe epoch node =
+      let probe node =
         Sim.Metrics.incr (Sim.Metrics.counter "cluster.probes");
         match
-          Sim.Net.call_r ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.entry_bytes
-            ~timeout_us:probe_timeout_us ~from:t.reconfig_host (Storage_node.read_service node)
-            { Storage_node.repoch = epoch; roffset = 0 }
+          Sim.Net.call_r ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes
+            ~timeout_us:probe_timeout_us ~from:t.reconfig_host (Storage_node.liveness_service node)
+            ()
         with
-        | Ok _ -> true (* any answer, even a sealed error, proves liveness *)
+        | Ok () -> true
         | Error _ ->
             Sim.Metrics.incr (Sim.Metrics.counter "cluster.probe_failures");
             false
@@ -905,7 +905,6 @@ let start_failure_monitor ?(probe_interval_us = 20_000.) ?(probe_timeout_us = 10
       let rec loop () =
         Sim.Engine.sleep probe_interval_us;
         let proj = Auxiliary.latest t.aux in
-        let epoch = proj.Projection.epoch in
         (* Scan the current membership across every segment; a second
            probe confirms before declaring death, so one unlucky
            timeout cannot trigger a reconfiguration. After a
@@ -914,7 +913,7 @@ let start_failure_monitor ?(probe_interval_us = 20_000.) ?(probe_timeout_us = 10
         let rec scan = function
           | [] -> ()
           | node :: rest ->
-              if probe epoch node || probe epoch node then scan rest
+              if probe node || probe node then scan rest
               else begin
                 Sim.Trace.f ~host:(Storage_node.name node) "monitor" "no response to two probes: declared dead";
                 ignore (replace_storage_node t ~dead:node : Types.epoch)

@@ -222,8 +222,10 @@ val enable_failpoint : string -> unit
 (** [start_failure_monitor t] spawns the detector fiber: every
     [probe_interval_us] (default 20 ms) it probes each storage node of
     the current projection (every segment) with a
-    [probe_timeout_us]-bounded read (default 10 ms); a member failing
-    two consecutive probes is declared dead and replaced via
-    {!replace_storage_node}. A sealed answer counts as alive, so the
-    monitor never fires on reconfiguration itself. *)
+    [probe_timeout_us]-bounded call (default 10 ms) to its
+    {!Storage_node.liveness_service}; a member failing two consecutive
+    probes is declared dead and replaced via {!replace_storage_node}.
+    The probe does not queue behind SSD work, so a node busy with a
+    rebuild backlog stays in, and it carries no epoch, so the monitor
+    never fires on reconfiguration itself. *)
 val start_failure_monitor : ?probe_interval_us:float -> ?probe_timeout_us:float -> t -> unit

@@ -22,6 +22,7 @@ type t = {
   prefix_trim_svc : (read_request, unit) Sim.Net.service;
   seal_svc : (Types.epoch, Types.offset) Sim.Net.service;
   tail_svc : (unit, Types.offset) Sim.Net.service;
+  alive_svc : (unit, unit) Sim.Net.service;
 }
 
 let lookup t off =
@@ -103,6 +104,11 @@ let create ~net ~name ~(params : Sim.Params.t) ?(capacity_entries = max_int) () 
           Sim.Net.service node_host ~name:"prefix-trim" (fun r -> handle_prefix_trim (Lazy.force t) r);
         seal_svc = Sim.Net.service node_host ~name:"seal" (fun e -> handle_seal (Lazy.force t) e);
         tail_svc = Sim.Net.service node_host ~name:"tail" (fun () -> (Lazy.force t).local_tail);
+        (* Answers without queueing behind SSD work: a node busy with a
+           rebuild backlog is alive; one whose device failed is not. *)
+        alive_svc =
+          Sim.Net.service node_host ~name:"alive" (fun () ->
+              if Sim.Resource.failed ssd then raise (Sim.Resource.Failed (Sim.Resource.name ssd)));
       }
   in
   Lazy.force t
@@ -116,6 +122,7 @@ let trim_service t = t.trim_svc
 let prefix_trim_service t = t.prefix_trim_svc
 let seal_service t = t.seal_svc
 let tail_service t = t.tail_svc
+let liveness_service t = t.alive_svc
 let sealed_epoch t = t.epoch
 let written_count t = t.writes_seen
 let trimmed_below t = t.trim_watermark

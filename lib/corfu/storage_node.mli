@@ -52,6 +52,11 @@ val seal_service : t -> (Types.epoch, Types.offset) Sim.Net.service
 (** Local tail query (no seal); the slow tail check reads these. *)
 val tail_service : t -> (unit, Types.offset) Sim.Net.service
 
+(** Liveness check for the failure monitor: answers at once, without
+    touching the SSD, unless the SSD has failed — then it raises
+    [Sim.Resource.Failed] and the caller gets no response. *)
+val liveness_service : t -> (unit, unit) Sim.Net.service
+
 (** {2 Introspection (tests, GC accounting)} *)
 
 val sealed_epoch : t -> Types.epoch

@@ -111,13 +111,15 @@ let header_for t off entry =
    degrades to a linear backward scan (§5, Failure Handling). *)
 let sync_with_inner t ~tail ~ptrs =
     let floor = known_max t in
-    let visited = Hashtbl.create 64 in
     let members = ref [] in
+    let lowest = ref max_int in
     let junk = ref [] in
+    (* The walk moves down the log, so a candidate below every member
+       noted so far is new; only the rest need a membership scan. *)
     let note off =
-      if off > floor && not (Hashtbl.mem visited off) then begin
-        Hashtbl.replace visited off ();
+      if off > floor && (off < !lowest || not (List.mem off !members)) then begin
         members := off :: !members;
+        if off < !lowest then lowest := off;
         true
       end
       else false
@@ -164,9 +166,11 @@ let sync_with_inner t ~tail ~ptrs =
     in
     walk ptrs;
     (* Filled holes were registered optimistically; drop them. *)
-    let junk_set = Hashtbl.create 8 in
-    List.iter (fun o -> Hashtbl.replace junk_set o ()) !junk;
-    let fresh = List.filter (fun o -> not (Hashtbl.mem junk_set o)) !members in
+    let fresh =
+      match !junk with
+      | [] -> !members
+      | junk -> List.filter (fun o -> not (List.mem o junk)) !members
+    in
     push_members t fresh;
     (* Start fetching the newly discovered entries right away so the
        upcoming playback finds them in the cache. *)

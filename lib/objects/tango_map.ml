@@ -61,9 +61,12 @@ let attach ?(mode = `Inline) ?(needs_decision = false) rt ~oid =
   Tango.Runtime.register rt ~oid ~needs_decision
     {
       Tango.Runtime.apply =
-        (fun ~pos ~key:_ data ->
+        (fun ~pos ~key data ->
           match decode data with
           | Op_put (k, v) ->
+              (* Keep the runtime's copy of the key, which also indexes
+                 the key's version, rather than a second decoded one. *)
+              let k = match key with Some rk when String.equal rk k -> rk | _ -> k in
               Hashtbl.replace t.tbl k
                 (match t.mode with `Inline -> Inline_value v | `Indexed -> At_pos pos)
           | Op_remove k -> Hashtbl.remove t.tbl k);

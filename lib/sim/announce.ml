@@ -21,26 +21,18 @@ type event =
   | Fault_repaired of { key : string }
   | Custom_fault of { name : string }
 
-type state = { born : int; mutable subs : (event -> unit) array }
+(* Subscribers live for one run: the engine drops them when it starts
+   a run and again when the run ends, so none outlives its world. *)
+let subs : (event -> unit) array ref = ref [||]
+let reset () = subs := [||]
+let () = Engine.on_run ~start:reset ~finish:reset
 
-let fresh ~born = { born; subs = [||] }
-let current = ref (fresh ~born:0)
+let subscribe f = subs := Array.append !subs [| f |]
 
-let state () =
-  let rc = Engine.run_count () in
-  if !current.born <> rc then current := fresh ~born:rc;
-  !current
-
-let reset () = current := fresh ~born:(Engine.run_count ())
-
-let subscribe f =
-  let st = state () in
-  st.subs <- Array.append st.subs [| f |]
-
-let active () = Array.length (state ()).subs > 0
+let active () = Array.length !subs > 0
 
 let emit ev =
-  let st = state () in
-  for i = 0 to Array.length st.subs - 1 do
-    st.subs.(i) ev
+  let subs = !subs in
+  for i = 0 to Array.length subs - 1 do
+    subs.(i) ev
   done

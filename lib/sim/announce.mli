@@ -14,8 +14,8 @@
     emission point, inside the emitting fiber: they must not block,
     sleep, or perform I/O.
 
-    Like {!Metrics} and {!Slo}, the registry is process-global and
-    resets lazily whenever a new {!Engine.run} begins. *)
+    The registry is process-global; subscribers live for one run and
+    are dropped when it ends ({!Engine.on_run}). *)
 
 type event =
   | Append_acked of { client : string; offset : int; streams : int list }

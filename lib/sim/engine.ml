@@ -42,12 +42,15 @@ type world = {
    executing them. *)
 let current_key : world option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
 
-(* Monotonic count of worlds ever started, readable outside a run.
-   Registries that outlive [run] (Metrics, Span) compare it to decide
-   when to lazily reset. Written only by the coordinating domain,
-   before worker domains spawn. *)
-let runs = ref 0
-let run_count () = !runs
+(* Registries that outlive [run] (Metrics, Timeseries, Slo, ...):
+   [start] gives each a fresh generation before [main] runs; [finish]
+   makes it drop every closure and handle into the finished world once
+   the run has ended, returned or raised. Registered at module
+   initialisation and called only from the coordinating domain. *)
+let registries : ((unit -> unit) * (unit -> unit)) list ref = ref []
+let on_run ~start ~finish = registries := !registries @ [ (start, finish) ]
+let start_registries () = List.iter (fun (start, _) -> start ()) !registries
+let finish_registries () = List.iter (fun (_, finish) -> finish ()) !registries
 
 let get_world () =
   match !(Domain.DLS.get current_key) with
@@ -273,8 +276,12 @@ let run_single ~seed ~until ~lookahead main =
   if !cur <> None then invalid_arg "Sim.Engine.run: already running";
   let w = make_world ~shard:0 ~nshards:1 ~lookahead ~seed in
   cur := Some w;
-  incr runs;
-  Fun.protect ~finally:(fun () -> cur := None) @@ fun () ->
+  start_registries ();
+  Fun.protect
+    ~finally:(fun () ->
+      cur := None;
+      finish_registries ())
+  @@ fun () ->
   let result = ref None in
   spawn_main w main result;
   drive w ?until ();
@@ -336,7 +343,7 @@ let run_sharded ?(seed = 1) ?until ?init ~shards ~lookahead main =
     let worlds = Array.init shards (fun k -> make_world ~shard:k ~nshards:shards ~lookahead ~seed) in
     let w0 = worlds.(0) in
     cur := Some w0;
-    incr runs;
+    start_registries ();
     let result = ref None in
     spawn_main w0 main result;
     (match init with
@@ -442,7 +449,8 @@ let run_sharded ?(seed = 1) ?until ?init ~shards ~lookahead main =
         Array.iter Domain.join workers;
         last_windows_count := !windows;
         last_stats := Array.map stat_of worlds;
-        cur := None)
+        cur := None;
+        finish_registries ())
     @@ fun () ->
     rounds ();
     (match !stop_exn with Some e -> raise e | None -> ());

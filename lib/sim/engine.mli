@@ -24,7 +24,8 @@
     A simulation ends when the main fiber (the function passed to
     {!run}/{!run_sharded}) returns. Fibers still blocked at that point
     — servers waiting for requests that will never come — are
-    discarded, on every shard. *)
+    discarded, on every shard, and the process-global registries drop
+    every closure they hold into the finished world ({!on_run}). *)
 
 (** Raised by {!run} when the main fiber is blocked but no events
     remain on any shard: every remaining fiber waits on something
@@ -141,12 +142,16 @@ val lookahead : unit -> float
     @raise Invalid_argument outside of {!run}. *)
 val events_dispatched : unit -> int
 
-(** [run_count ()] is the number of simulation worlds ever started in
-    this process (incremented at the top of each {!run}). Unlike the
-    other accessors it is usable outside a run. Global registries such
-    as {!Metrics} and {!Span} use it to reset themselves lazily at the
-    start of a new run while staying readable after a run ends. *)
-val run_count : unit -> int
+(** [on_run ~start ~finish] registers a process-global registry that
+    outlives runs ({!Metrics}, {!Timeseries}, {!Slo}, ...). Every
+    {!run}/{!run_sharded} calls each [start] before [main] runs, so
+    the registry begins a fresh generation, and each [finish] once the
+    run has ended (returned or raised). Run-lifecycle contract: after
+    [finish] a registry holds only recorded data — no closures, fiber
+    resumers or component handles from the finished world — so the
+    world can be collected while post-run readers still print the same
+    bytes. Registries call this once, at module initialisation. *)
+val on_run : start:(unit -> unit) -> finish:(unit -> unit) -> unit
 
 (** {2 Post-run shard statistics}
 

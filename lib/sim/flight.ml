@@ -24,21 +24,19 @@ type ring = {
 type snap = { sn_reason : string; sn_time : float; sn_json : string; sn_trace : string }
 
 type state = {
-  born : int;
   rings : (string, ring) Hashtbl.t;
   mutable snaps : snap list;  (* newest first *)
   mutable n_snaps : int;
 }
 
-let fresh ~born = { born; rings = Hashtbl.create 16; snaps = []; n_snaps = 0 }
-let current = ref (fresh ~born:0)
+let fresh () = { rings = Hashtbl.create 16; snaps = []; n_snaps = 0 }
+let current = ref (fresh ())
+let state () = !current
+let reset () = current := fresh ()
 
-let state () =
-  let rc = Engine.run_count () in
-  if !current.born <> rc then current := fresh ~born:rc;
-  !current
-
-let reset () = current := fresh ~born:(Engine.run_count ())
+(* The rings and snapshots are plain data; nothing to drop at the end
+   of a run. *)
+let () = Engine.on_run ~start:reset ~finish:ignore
 
 (* Sticky configuration, like the Span enabled flag: survives engine
    resets so a harness can arm the recorder once for many runs. *)

@@ -65,13 +65,20 @@ let fresh ~born =
   }
 
 let current = ref (fresh ~born:0)
+let state () = !current
 
-let state () =
-  let rc = Engine.run_count () in
-  if !current.born <> rc then current := fresh ~born:rc;
-  !current
+(* Each run starts a new generation; [born] stamps handles with it. *)
+let generations = ref 0
 
-let reset () = current := fresh ~born:(Engine.run_count ())
+let reset () =
+  incr generations;
+  current := fresh ~born:!generations
+
+(* End of run: tracked resources hold their waiter queues — resumers
+   of the finished world's fibers. The sampled series stay. *)
+let drop_closures () = !current.tracked <- []
+
+let () = Engine.on_run ~start:reset ~finish:drop_closures
 
 (* Stale-handle detection: a handle created in run N that is written in
    run M > N lands in a dead generation and is invisible to snapshots.

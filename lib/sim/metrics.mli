@@ -3,9 +3,10 @@
     Components register named {e counters}, {e gauges}, and log-scale
     {e histograms}, optionally qualified by a host/component label.
     The registry is process-global but {e engine-reset}: it clears
-    itself lazily when a new {!Engine.run} starts (detected through
-    {!Engine.run_count}), and stays readable after a run ends so
-    benches and tests can snapshot it post-mortem.
+    itself when a new {!Engine.run} starts and stays readable after a
+    run ends so benches and tests can snapshot it post-mortem. At the
+    end of a run it forgets the resources registered with
+    {!track_resource}; their sampled series stay ({!Engine.on_run}).
 
     A periodic {e sampler} fiber ({!start_sampler}) records time
     series of {!Resource} utilization and queue depth — sequencer CPU,
@@ -164,6 +165,6 @@ val snapshot : unit -> snapshot
       "series": [...]}]. *)
 val to_json : unit -> string
 
-(** [reset ()] clears the registry immediately (tests; normally the
-    engine-reset does this for you). *)
+(** [reset ()] clears the registry immediately and starts a new handle
+    generation (tests; normally the engine-reset does this for you). *)
 val reset : unit -> unit

@@ -1,12 +1,15 @@
 exception Failed of string
 
+(* An all-float record stores its fields unboxed; in the mixed record
+   below every accounting store would box a float. *)
+type clock = { mutable busy_integral : float; mutable last_update : float }
+
 type t = {
   name : string;
   capacity : int;
   mutable in_use : int;
   waiters : (bool -> unit) Queue.t;  (* resumed with [false] when the station fails *)
-  mutable busy_integral : float;
-  mutable last_update : float;
+  clock : clock;
   mutable broken : bool;
 }
 
@@ -17,8 +20,7 @@ let create ~name ~capacity () =
     capacity;
     in_use = 0;
     waiters = Queue.create ();
-    busy_integral = 0.;
-    last_update = 0.;
+    clock = { busy_integral = 0.; last_update = 0. };
     broken = false;
   }
 
@@ -27,8 +29,9 @@ let capacity t = t.capacity
 
 let account t =
   let now = Engine.now () in
-  t.busy_integral <- t.busy_integral +. (float_of_int t.in_use *. (now -. t.last_update));
-  t.last_update <- now
+  let c = t.clock in
+  c.busy_integral <- c.busy_integral +. (float_of_int t.in_use *. (now -. c.last_update));
+  c.last_update <- now
 
 let acquire t =
   if t.broken then raise (Failed t.name);
@@ -54,7 +57,11 @@ let release t =
 
 let use t dt =
   acquire t;
-  Fun.protect ~finally:(fun () -> release t) (fun () -> Engine.sleep dt)
+  match Engine.sleep dt with
+  | () -> release t
+  | exception e ->
+      release t;
+      raise e
 
 let fail t =
   if not t.broken then begin
@@ -77,4 +84,4 @@ let queue_length t = Queue.length t.waiters
 
 let busy_time t =
   account t;
-  t.busy_integral
+  t.clock.busy_integral

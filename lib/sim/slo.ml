@@ -40,7 +40,6 @@ type monitor = {
 let alerts_cap = 10_000
 
 type state = {
-  born : int;
   mutable mons : monitor array;
   mutable n : int;
   mutable alerts : alert list;  (* newest first *)
@@ -49,17 +48,21 @@ type state = {
   mutable hooked : bool;
 }
 
-let fresh ~born =
-  { born; mons = [||]; n = 0; alerts = []; n_alerts = 0; subs = [||]; hooked = false }
+let fresh () = { mons = [||]; n = 0; alerts = []; n_alerts = 0; subs = [||]; hooked = false }
+let current = ref (fresh ())
+let state () = !current
+let reset () = current := fresh ()
 
-let current = ref (fresh ~born:0)
+(* End of run: subscribers and resolved selectors reach into the
+   finished world; the alert stream and monitor states stay. *)
+let drop_closures () =
+  let st = !current in
+  st.subs <- [||];
+  for i = 0 to st.n - 1 do
+    st.mons.(i).m_sel <- None
+  done
 
-let state () =
-  let rc = Engine.run_count () in
-  if !current.born <> rc then current := fresh ~born:rc;
-  !current
-
-let reset () = current := fresh ~born:(Engine.run_count ())
+let () = Engine.on_run ~start:reset ~finish:drop_closures
 
 let subscribe f =
   let st = state () in

@@ -20,7 +20,8 @@
     Evaluation is O(1) per window per monitor (a classification bit
     ring with incremental fast/slow counts) and runs on the
     {!Timeseries.on_window_close} hook. State is engine-reset, like
-    {!Metrics}. *)
+    {!Metrics}; at the end of a run the subscribers and resolved
+    series selectors are dropped, the alert stream stays. *)
 
 type monitor
 

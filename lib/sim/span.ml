@@ -14,21 +14,19 @@ type rec_ = {
 }
 
 type state = {
-  born : int;
   mutable arr : rec_ option array;
   mutable count : int;
   stacks : (int, int list) Hashtbl.t;  (* fiber id -> open span ids, innermost first *)
 }
 
-let fresh ~born = { born; arr = Array.make 256 None; count = 0; stacks = Hashtbl.create 32 }
-let current_state = ref (fresh ~born:0)
+let fresh () = { arr = Array.make 256 None; count = 0; stacks = Hashtbl.create 32 }
+let current_state = ref (fresh ())
+let state () = !current_state
+let reset () = current_state := fresh ()
 
-let state () =
-  let rc = Engine.run_count () in
-  if !current_state.born <> rc then current_state := fresh ~born:rc;
-  !current_state
-
-let reset () = current_state := fresh ~born:(Engine.run_count ())
+(* Span records and per-fiber stacks are plain data; nothing to drop
+   at the end of a run. *)
+let () = Engine.on_run ~start:reset ~finish:ignore
 
 let enabled_flag = ref false
 let set_enabled b = enabled_flag := b

@@ -35,7 +35,6 @@ type src = {
 }
 
 type state = {
-  born : int;
   mutable srcs : src array;
   mutable n : int;
   index : (string, src) Hashtbl.t;
@@ -52,9 +51,8 @@ type state = {
 
 let no_probe () = 0.
 
-let fresh ~born =
+let fresh () =
   {
-    born;
     srcs = Array.make 0 { se_name = ""; se_kind = K_probe; se_counter = None; se_gauge = None;
                           se_hist = None; se_probe = no_probe; se_prev_buckets = [||];
                           se_delta = [||]; se_acc = [||]; se_prev = 0; se_first_w = 0;
@@ -72,14 +70,21 @@ let fresh ~born =
     closers = [||];
   }
 
-let current = ref (fresh ~born:0)
+let current = ref (fresh ())
+let state () = !current
+let reset () = current := fresh ()
 
-let state () =
-  let rc = Engine.run_count () in
-  if !current.born <> rc then current := fresh ~born:rc;
-  !current
+(* End of run: the probes and window closers close over the finished
+   world (a runtime's lag probes reach its client, cluster and maps);
+   the sealed rings stay readable. *)
+let drop_closures () =
+  let st = !current in
+  for i = 0 to st.n - 1 do
+    st.srcs.(i).se_probe <- no_probe
+  done;
+  st.closers <- [||]
 
-let reset () = current := fresh ~born:(Engine.run_count ())
+let () = Engine.on_run ~start:reset ~finish:drop_closures
 
 let configure ?window_us ?subticks ?slots () =
   let st = state () in

@@ -16,8 +16,10 @@
     slots, which is why it must be started explicitly ({!start}), like
     the {!Metrics} sampler.
 
-    The store is global and engine-reset ({!Engine.run_count}), and
-    stays readable after the run ends. {!Slo} monitors evaluate on the
+    The store is global and engine-reset ({!Engine.on_run}), and
+    stays readable after the run ends; at the end of a run it drops
+    its probe functions and window closers, keeping the sealed
+    rings. {!Slo} monitors evaluate on the
     {!on_window_close} hook; the future auto-scaling controller reads
     the same rings. *)
 

@@ -388,6 +388,36 @@ let test_version_tracking () =
       check_bool "object version advances" true (Runtime.version_of rt ~oid:1 () > va);
       check_int "a unchanged" va (Runtime.version_of rt ~oid:1 ~key:"a" ()))
 
+(* The version index is per hosted object: a whole-object write
+   dominates every key's version until the key is written again, keys
+   of different objects are independent, and an unhosted object has
+   no version. *)
+let test_version_index_per_object () =
+  with_cluster (fun cluster ->
+      let rt = runtime cluster "app" in
+      let m = Map_obj.attach rt ~oid:1 in
+      let other = Map_obj.attach rt ~oid:2 in
+      let v ?key oid = Runtime.version_of rt ~oid ?key () in
+      Map_obj.put m "a" "1";
+      ignore (Map_obj.get m "a");
+      let va = v ~key:"a" 1 in
+      check_int "object version is the key's" va (v 1);
+      check_int "other object's key untouched" (-1) (v ~key:"a" 2);
+      check_int "unhosted object" (-1) (v ~key:"a" 9);
+      Runtime.update_helper rt ~oid:1 (Map_obj.encode "b" "2");
+      ignore (Map_obj.size m);
+      let whole = v 1 in
+      check_bool "whole-object write advances" true (whole > va);
+      check_int "dominates a written key" whole (v ~key:"a" 1);
+      check_int "dominates an unwritten key" whole (v ~key:"z" 1);
+      Map_obj.put m "a" "3";
+      ignore (Map_obj.get m "a");
+      check_bool "rewritten key passes it" true (v ~key:"a" 1 > whole);
+      check_int "other keys stay at it" whole (v ~key:"b" 1);
+      Map_obj.put other "a" "4";
+      ignore (Map_obj.get other "a");
+      check_bool "objects versioned apart" true (v ~key:"a" 2 <> v ~key:"a" 1))
+
 let test_fetch_log_index () =
   (* Views can store positions and fetch the payload lazily. *)
   with_cluster (fun cluster ->
@@ -995,6 +1025,26 @@ let test_gc_trim_gap_repair () =
       check_int "cold view repaired from checkpoint" 10 (Ckpt_map.size m2);
       Alcotest.(check (option string)) "latest values" (Some "40") (Ckpt_map.get m2 "k0"))
 
+(* A checkpoint loaded over a trim gap bumps the view to the
+   checkpoint's base: the object and every key it covers read at that
+   version, as whole-object writes do. *)
+let test_checkpoint_base_bumps_version () =
+  with_cluster (fun cluster ->
+      let rt = runtime ~batch_size:1 cluster "writer" in
+      let m = Ckpt_map.attach rt ~oid:1 in
+      for i = 1 to 20 do
+        Ckpt_map.put m (Printf.sprintf "k%d" (i mod 5)) (string_of_int i)
+      done;
+      check_int "five keys live" 5 (Ckpt_map.size m);
+      let info = Runtime.checkpoint rt ~oid:1 in
+      Runtime.trim_below rt (Record.pos_offset (info.Runtime.ckpt_base + 1));
+      let rt2 = runtime cluster "cold" in
+      let m2 = Ckpt_map.attach rt2 ~oid:1 in
+      check_int "cold view repaired" 5 (Ckpt_map.size m2);
+      let base = info.Runtime.ckpt_base in
+      check_int "object at the base" base (Runtime.version_of rt2 ~oid:1 ());
+      check_int "covered key at the base" base (Runtime.version_of rt2 ~oid:1 ~key:"k3" ()))
+
 let prop_directory_unique_oids =
   (* Concurrent declarations from several clients always yield unique,
      globally agreed OIDs. *)
@@ -1170,6 +1220,7 @@ let () =
           Alcotest.test_case "view reconstruction" `Quick test_view_reconstruction;
           Alcotest.test_case "time travel" `Quick test_time_travel;
           Alcotest.test_case "version tracking" `Quick test_version_tracking;
+          Alcotest.test_case "version index per object" `Quick test_version_index_per_object;
           Alcotest.test_case "fetch (log as index)" `Quick test_fetch_log_index;
           Alcotest.test_case "batching ratio" `Quick test_batching_ratio;
         ] );
@@ -1203,6 +1254,8 @@ let () =
           Alcotest.test_case "directory declare and race" `Quick test_directory_declare_and_race;
           Alcotest.test_case "directory gc" `Quick test_directory_gc;
           Alcotest.test_case "trim-gap repair" `Quick test_gc_trim_gap_repair;
+          Alcotest.test_case "checkpoint base bumps version" `Quick
+            test_checkpoint_base_bumps_version;
         ] );
       ( "properties",
         qcheck

@@ -1371,6 +1371,26 @@ let test_recover_ssd_failure () =
         | _ -> Alcotest.failf "offset %d lost" i
       done)
 
+(* A node whose SSD queue stays busy far past two probe timeouts is
+   alive: the monitor's liveness probe does not queue behind SSD work,
+   so a spare rebuilding a backlog is never replaced. *)
+let test_busy_ssd_not_replaced () =
+  with_faulty_cluster (fun cluster _f ->
+      let probe_timeout_us = 10_000. in
+      Cluster.start_failure_monitor ~probe_timeout_us cluster;
+      let w = Cluster.new_client cluster ~name:"writer" in
+      ignore (Client.append w ~streams:[ 1 ] (payload "before"));
+      let busy = (Cluster.storage_nodes cluster).(0) in
+      Sim.Engine.spawn (fun () ->
+          for _ = 1 to 5 do
+            Sim.Resource.use (Storage_node.ssd busy) (6. *. probe_timeout_us)
+          done);
+      Sim.Engine.sleep 400_000.;
+      check_bool "the monitor probed" true
+        (Sim.Metrics.counter_value (Sim.Metrics.counter "cluster.probes") > 0);
+      check_int "busy node never replaced" 0 (List.length (Cluster.recoveries cluster));
+      check_int "append lands after the backlog" 1 (Client.append w ~streams:[ 1 ] (payload "after")))
+
 (* The hole-fill race, forced with injected message delay: the writer's
    link to the chain tail stalls past the fill timeout, so the filler
    finds the torn append's data at the head and completes it. *)
@@ -1711,6 +1731,7 @@ let () =
           Alcotest.test_case "replace storage node" `Quick test_recover_replace_storage_node;
           Alcotest.test_case "monitor detects and replaces" `Quick test_recover_monitor_detects;
           Alcotest.test_case "ssd failure triggers replacement" `Quick test_recover_ssd_failure;
+          Alcotest.test_case "busy ssd is not replaced" `Quick test_busy_ssd_not_replaced;
           Alcotest.test_case "fill completes torn append under delay" `Quick
             test_fill_completes_torn_append_under_delay;
           Alcotest.test_case "fill loses to slow append" `Quick test_fill_loses_to_slow_append;

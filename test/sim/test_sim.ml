@@ -1513,6 +1513,57 @@ let test_sharded_stats_populated () =
     (stats.(0).Sim.Engine.sh_msgs_out + stats.(1).Sim.Engine.sh_msgs_out)
     (stats.(0).Sim.Engine.sh_msgs_in + stats.(1).Sim.Engine.sh_msgs_in)
 
+(* ------------------------------------------------------------------ *)
+(* Run lifecycle                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A stand-in for a simulated component: reachable, once the run has
+   ended, only through what the registries kept. *)
+let component_size = ref 64
+
+let make_component () = Bytes.make !component_size 'c'
+
+(* After [run] returns, the registries hold data only: a component
+   registered with every one of them (Timeseries probe and window
+   closer, Announce subscriber, Slo monitor and subscriber, a
+   Metrics-tracked resource with a parked waiter) is collectable, and
+   the post-run dumps print the same bytes as at the end of the run. *)
+let test_run_end_frees_world () =
+  let weak = Weak.create 1 in
+  let flight_was = Flight.enabled () in
+  Flight.set_enabled true;
+  Fun.protect ~finally:(fun () -> Flight.set_enabled flight_was) @@ fun () ->
+  let ts, alerts, flight =
+    Engine.run (fun () ->
+        let c = make_component () in
+        Weak.set weak 0 (Some c);
+        Timeseries.configure ~window_us:1_000. ~subticks:1 ();
+        Timeseries.probe "component" (fun () -> float_of_int (Bytes.length c));
+        Timeseries.on_window_close (fun () -> Bytes.set c 0 'w');
+        Announce.subscribe (fun _ -> Bytes.set c 1 'a');
+        ignore
+          (Slo.monitor ~name:"component" ~series:"probe:component" ~col:"max" ~threshold:1.
+             ~objective:0.5 ~fast_windows:1 ~slow_windows:2 ~burn:1. ());
+        Slo.subscribe (fun _ -> Bytes.set c 2 's');
+        let r = Resource.create ~name:"dev" ~capacity:1 () in
+        Metrics.track_resource r;
+        Resource.acquire r;
+        Engine.spawn (fun () ->
+            Resource.acquire r;
+            Bytes.set c 3 'r');
+        Timeseries.start ~track_metrics:false ();
+        Announce.emit (Announce.Custom_fault { name = "tick" });
+        Engine.sleep 5_500.;
+        (Timeseries.to_json (), Slo.alerts_json (), Flight.dump_json ()))
+  in
+  Gc.full_major ();
+  check_bool "component collected" true (Weak.get weak 0 = None);
+  check_bool "alerts recorded" true (List.length (Slo.alerts ()) > 0);
+  check_bool "flight snapshot taken" true (Flight.snapshot_count () > 0);
+  Alcotest.(check string) "timeseries dump unchanged" ts (Timeseries.to_json ());
+  Alcotest.(check string) "alert stream unchanged" alerts (Slo.alerts_json ());
+  Alcotest.(check string) "flight dump unchanged" flight (Flight.dump_json ())
+
 let () =
   Alcotest.run "sim"
     [
@@ -1532,6 +1583,7 @@ let () =
           Alcotest.test_case "fiber ids unique" `Quick test_fiber_ids_unique;
           Alcotest.test_case "schedule thunk" `Quick test_schedule_thunk;
           Alcotest.test_case "deterministic replay" `Quick test_determinism;
+          Alcotest.test_case "end of run frees the world" `Quick test_run_end_frees_world;
         ] );
       ( "eventq",
         [
