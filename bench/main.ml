@@ -857,22 +857,25 @@ let chaos_crash_point ~workers =
 
 let chaos_crash () =
   section "Chaos: crash a chain head mid-window, monitor-driven recovery (6 servers)";
-  row "%8s %10s %10s %11s %12s %11s %13s" "workers" "Kapp/s" "failed-rpc" "stall-ms" "window-ms"
-    "rebuilt" "rebuilt-bytes";
+  row "%8s %10s %10s %11s %12s %24s %11s %13s" "workers" "Kapp/s" "failed-rpc" "stall-ms"
+    "window-ms" "crash→replicated (ms)" "rebuilt" "rebuilt-bytes";
   List.iter
     (fun workers ->
       let tput, failures, stall, incs = chaos_crash_point ~workers in
       match incs with
       | [ i ] ->
-          row "%8d %10.1f %10d %11.1f %12.1f %11d %13d" workers (tput /. 1e3) failures
+          row "%8d %10.1f %10d %11.1f %12.1f %22s %11d %13d" workers (tput /. 1e3) failures
             (stall /. 1e3)
             (i.Chaos.inc_unavailable_us /. 1e3)
+            (match i.Chaos.inc_replicated_us with
+            | Some t -> Printf.sprintf "%.1f" ((t -. i.Chaos.inc_crashed_us) /. 1e3)
+            | None -> "-")
             i.Chaos.inc_rebuild_entries i.Chaos.inc_rebuild_bytes
       | incs ->
-          row "%8d %10.1f %10d %11.1f %12s %11s %13s" workers (tput /. 1e3) failures
+          row "%8d %10.1f %10d %11.1f %12s %22s %11s %13s" workers (tput /. 1e3) failures
             (stall /. 1e3)
             (Printf.sprintf "(%d recoveries)" (List.length incs))
-            "-" "-")
+            "-" "-" "-")
     [ 4; 8; 16; 32 ]
 
 (* The CI smoke scenario: a fixed fault plan (crash + a lossy, slow

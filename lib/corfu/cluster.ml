@@ -4,6 +4,7 @@ type recovery = {
   rec_spare : string;
   rec_started_us : float;
   rec_installed_us : float;
+  rec_replicated_us : float option;
   rec_copied_entries : int;
   rec_copied_bytes : int;
 }
@@ -277,8 +278,9 @@ let start_checkpoint_scribe t ~interval_us =
       in
       tick ())
 
-(* Seal every distinct storage node of [proj] at [epoch], collecting
-   each reachable node's local tail by name. Sealing {e every}
+(* Seal [nodes] — every distinct storage node of a projection, for an
+   epoch change — at [epoch], collecting each reachable node's local
+   tail by name. Sealing {e every}
    segment's nodes — not just the tail's — is what makes stale clients
    safe across a segment-map change: a client still on the old epoch
    that maps a new-segment offset through the old geometry hits a
@@ -296,7 +298,7 @@ let start_checkpoint_scribe t ~interval_us =
    the new sequencer has never heard of. Found by the simulation
    fuzzer as a durability/liveness hazard under partition-during-
    reconfiguration. *)
-let seal_storage ?dead t proj ~epoch =
+let seal_storage ?dead t nodes ~epoch =
   let tails = Hashtbl.create 32 in
   List.iter
     (fun node ->
@@ -330,7 +332,7 @@ let seal_storage ?dead t proj ~epoch =
               go ()
         in
         go ())
-    (Projection.servers proj);
+    nodes;
   tails
 
 let replace_sequencer t =
@@ -355,7 +357,7 @@ let replace_sequencer t =
   in
   (* 2. Seal every storage node, collecting local tails; the tail
      segment's chain heads carry the highest local tails. *)
-  let tails = seal_storage t old_proj ~epoch in
+  let tails = seal_storage t (Projection.servers old_proj) ~epoch in
   let tail_seg = Projection.tail_segment old_proj in
   let locals =
     Array.map
@@ -438,10 +440,226 @@ let replace_sequencer t =
   epoch
 
 (* ------------------------------------------------------------------ *)
-(* Storage-node replacement (§2.2 reconfiguration)                    *)
+(* Segment-map reconfiguration (§2.2)                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A fresh storage node, pre-sealed at [epoch] so that only clients of
+   the projection it joins can write to it. *)
+let provision t ~name ~epoch =
+  let node = Storage_node.create ~net:t.cluster_net ~name ~params:t.p () in
+  ignore (Sim.Net.call ~from:t.reconfig_host (Storage_node.seal_service node) epoch : Types.offset);
+  node
+
+(* A single reconfiguration agent runs at a time, so a conflict is a
+   bug. *)
+let propose t ~spans proj =
+  Sim.Span.with_span (spans ^ ".install") (fun () ->
+      match Sim.Net.call ~from:t.reconfig_host (Auxiliary.propose_service t.aux) proj with
+      | Auxiliary.Installed -> ()
+      | Auxiliary.Conflict _ ->
+          failwith (Printf.sprintf "Cluster (%s): concurrent reconfiguration" spans))
+
+(* First local offset past every segment's local range, with the tail
+   segment's extent fixed by the seal point. *)
+let next_local_base segments ~seal_tail =
+  Array.fold_left
+    (fun acc seg ->
+      let span =
+        match seg.Projection.seg_limit with
+        | Some limit -> limit - seg.Projection.seg_base
+        | None -> max 0 (seal_tail - seg.Projection.seg_base)
+      in
+      max acc (seg.Projection.seg_local_base + Projection.seg_local_span seg ~span))
+    0 segments
+
+(* The one §2.2 membership step, shared by scale-out, scale-in and
+   storage-node replacement: seal the sequencer at the next epoch — its
+   tail is the boundary — and every storage node of every segment
+   ([dead] gets the short-deadline attempt), bound the old tail segment
+   at the boundary (drop it if nothing was ever appended there), keep
+   the older segments with [history] applied to their chains, open a
+   new unbounded tail segment over [tail_sets_of ~epoch], and propose.
+   No data moves: old offsets keep resolving through the segment that
+   wrote them. Returns the installed projection. *)
+let reseal_with_tail ?dead ?(history = Fun.id) t ~spans tail_sets_of =
+  let old_proj = Auxiliary.latest t.aux in
+  let epoch = old_proj.Projection.epoch + 1 in
+  let boundary =
+    Sim.Span.with_span (spans ^ ".seal") (fun () ->
+        let boundary =
+          Sim.Net.call ~from:t.reconfig_host
+            (Sequencer.seal_service old_proj.Projection.sequencer)
+            epoch
+        in
+        ignore
+          (seal_storage ?dead t (Projection.servers old_proj) ~epoch
+            : (string, Types.offset) Hashtbl.t);
+        boundary)
+  in
+  let tail_sets = tail_sets_of ~epoch in
+  let old_segments = old_proj.Projection.segments in
+  let last = Array.length old_segments - 1 in
+  let kept =
+    List.concat
+      (Array.to_list
+         (Array.mapi
+            (fun i seg ->
+              let seg =
+                { seg with Projection.seg_sets = Array.map history seg.Projection.seg_sets }
+              in
+              if i < last then [ seg ]
+              else if boundary > seg.Projection.seg_base then
+                (* Bound the old tail at the seal point. *)
+                [ { seg with Projection.seg_limit = Some boundary } ]
+              else [ (* never appended into: drop the empty segment *) ])
+            old_segments))
+  in
+  let tail_seg =
+    {
+      Projection.seg_base = boundary;
+      seg_limit = None;
+      seg_local_base = next_local_base old_segments ~seal_tail:boundary;
+      seg_sets = tail_sets;
+    }
+  in
+  let segments = Array.of_list (kept @ [ tail_seg ]) in
+  let proj = Projection.v ~epoch ~segments ~sequencer:old_proj.Projection.sequencer in
+  propose t ~spans proj;
+  proj
+
+(* ------------------------------------------------------------------ *)
+(* Storage-node replacement                                           *)
 (* ------------------------------------------------------------------ *)
 
 let recoveries t = List.rev t.recoveries
+
+(* Run [f 0 .. f (n - 1)] on at most [window] fibers and wait for all
+   of them: a rebuild copy bounded by SSD bandwidth, not round trips. *)
+let in_parallel ~window n f =
+  if n > 0 then begin
+    let workers = min window n in
+    let remaining = ref workers in
+    let all_done = Sim.Ivar.create () in
+    let span_parent = Sim.Span.current () in
+    for w = 0 to workers - 1 do
+      Sim.Engine.spawn (fun () ->
+          Sim.Span.with_parent span_parent @@ fun () ->
+          let i = ref w in
+          while !i < n do
+            f !i;
+            i := !i + workers
+          done;
+          decr remaining;
+          if !remaining = 0 then Sim.Ivar.fill all_done ())
+    done;
+    Sim.Ivar.read all_done
+  end
+
+(* Step 2 of {!replace_storage_node}, with appends already flowing
+   under [proj]: copy every cell of each [(segment, set, survivor)]
+   slot from the survivor (its chain's head) onto [spare]; seal those
+   heads at the next epoch, so no late write of a grant issued before
+   the first seal and no hole fill can start on those chains any more
+   (chain writes and fills begin at the head, and no other chain
+   changes); re-copy the cells the first pass found unwritten; and
+   install the next epoch with the spare appended to each slot's
+   chain. Returns [(entries, bytes, spare_ok)]; a spare that stopped
+   answering still joins the chains, so that the monitor's replacement
+   of it rebuilds them all. *)
+let rebuild t ~copy_window ~proj ~spare slots =
+  let restore = proj.Projection.epoch + 1 in
+  let copied_entries = ref 0 and copied_bytes = ref 0 and spare_ok = ref true in
+  let rpc service req ~req_bytes ~resp_bytes =
+    Sim.Net.call_r ~req_bytes ~resp_bytes ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
+      service req
+  in
+  let put ~bytes ~epoch loff cell =
+    match
+      rpc (Storage_node.write_service spare) ~req_bytes:bytes ~resp_bytes:t.p.rpc_bytes
+        { Storage_node.wepoch = epoch; woffset = loff; wcell = cell }
+    with
+    | Ok Types.Write_ok ->
+        incr copied_entries;
+        copied_bytes := !copied_bytes + bytes
+    | Ok (Types.Already_written _) -> ()
+    | Ok (Types.Sealed_at _ | Types.Out_of_space) | Error _ -> spare_ok := false
+  in
+  (* Copy one cell; false when it must be looked at again. The
+     survivor holds the only copy of the history, so it is retried
+     until it answers, like {!raw_read}'s chain head. *)
+  let copy_cell ~epoch src loff =
+    let req = { Storage_node.repoch = epoch; roffset = loff } in
+    let rec read () =
+      match
+        rpc (Storage_node.read_service src) req ~req_bytes:t.p.rpc_bytes
+          ~resp_bytes:t.p.entry_bytes
+      with
+      | Ok r -> r
+      | Error _ ->
+          Sim.Engine.sleep t.p.retry_sleep_us;
+          read ()
+    in
+    match read () with
+    | Types.Read_data e ->
+        put ~bytes:t.p.entry_bytes ~epoch loff (Types.Data e);
+        true
+    | Types.Read_junk ->
+        put ~bytes:t.p.rpc_bytes ~epoch loff Types.Junk;
+        true
+    | Types.Read_trimmed ->
+        (match
+           rpc (Storage_node.trim_service spare) req ~req_bytes:t.p.rpc_bytes
+             ~resp_bytes:t.p.rpc_bytes
+         with
+        | Ok () -> ()
+        | Error _ -> spare_ok := false);
+        true
+    | Types.Read_unwritten | Types.Read_sealed _ -> false
+  in
+  announce_started "rebuild";
+  let pending = ref [] in
+  Sim.Span.with_span "recovery.copy" (fun () ->
+      List.iter
+        (fun (si, s, src) ->
+          let seg = Projection.segment proj si in
+          let lo = seg.Projection.seg_local_base in
+          let rel = Option.get seg.Projection.seg_limit - seg.Projection.seg_base in
+          in_parallel ~window:copy_window (Projection.seg_cells_below seg ~set:s ~rel) (fun i ->
+              if !spare_ok && not (copy_cell ~epoch:proj.Projection.epoch src (lo + i)) then
+                pending := (src, lo + i) :: !pending))
+        slots);
+  let survivors =
+    List.fold_left (fun acc (_, _, src) -> if List.memq src acc then acc else src :: acc) [] slots
+  in
+  ignore
+    (Sim.Span.with_span "recovery.seal" (fun () ->
+         seal_storage t (List.rev survivors) ~epoch:restore)
+      : (string, Types.offset) Hashtbl.t);
+  (* Closed: what is unwritten on a survivor now stays a hole. *)
+  let pending = Array.of_list (List.rev !pending) in
+  Sim.Span.with_span "recovery.copy" (fun () ->
+      in_parallel ~window:copy_window (Array.length pending) (fun i ->
+          let src, loff = pending.(i) in
+          if !spare_ok then ignore (copy_cell ~epoch:restore src loff : bool)));
+  let segments =
+    Array.mapi
+      (fun si seg ->
+        {
+          seg with
+          Projection.seg_sets =
+            Array.mapi
+              (fun s chain ->
+                if List.exists (fun (si', s', _) -> si' = si && s' = s) slots then
+                  Array.append chain [| spare |]
+                else chain)
+              seg.Projection.seg_sets;
+        })
+      proj.Projection.segments
+  in
+  propose t ~spans:"recovery"
+    (Projection.v ~epoch:restore ~segments ~sequencer:proj.Projection.sequencer);
+  announce_installed "rebuild" restore;
+  (!copied_entries, !copied_bytes, !spare_ok)
 
 let replace_storage_node ?(copy_window = 16) t ~dead =
   with_reconfig t
@@ -451,20 +669,9 @@ let replace_storage_node ?(copy_window = 16) t ~dead =
      already be gone. *)
   let old_proj = Auxiliary.latest t.aux in
   let epoch = old_proj.Projection.epoch + 1 in
-  (* The dead member may serve chains in several segments (scale-out
-     reuses the old tail's nodes); collect every (segment, set) slot. *)
-  let slots =
-    let found = ref [] in
-    Array.iteri
-      (fun si seg ->
-        Array.iteri
-          (fun s chain -> if Array.exists (fun node -> node == dead) chain then
-              found := (si, s) :: !found)
-          seg.Projection.seg_sets)
-      old_proj.Projection.segments;
-    List.rev !found
-  in
-  if slots = [] then begin
+  let holds chain = Array.exists (fun node -> node == dead) chain in
+  let held seg = Array.exists holds seg.Projection.seg_sets in
+  if not (Array.exists held old_proj.Projection.segments) then begin
     (* Already replaced by a concurrent recovery (the monitor and a
        scheduled fault-plan action can race to the same corpse): the
        cluster is in the state the caller wanted. *)
@@ -479,170 +686,82 @@ let replace_storage_node ?(copy_window = 16) t ~dead =
   @@ fun () ->
   let started = Sim.Engine.now () in
   announce_started "storage";
-  Sim.Trace.f ~host:(Storage_node.name dead) "reconfig"
-    "replacing a member of %d segment chain(s) at epoch %d" (List.length slots) epoch;
-  (* 1. Seal the sequencer at the new epoch. It stays in the next
-     projection — storage replacement does not lose allocation state —
-     so this only forces every client through a projection refresh,
-     closing the old epoch before the membership changes. *)
-  Sim.Span.with_span "recovery.seal" (fun () ->
-      ignore
-        (Sim.Net.call ~from:t.reconfig_host
-           (Sequencer.seal_service old_proj.Projection.sequencer)
-           epoch
-          : Types.offset));
-  (* 2. Seal every storage node, collecting each survivor's local
-     tail. *)
-  let tails = Sim.Span.with_span "recovery.seal" (fun () -> seal_storage ~dead t old_proj ~epoch) in
-  (* 3. Bring up the spare, pre-sealed at the new epoch. *)
+  Sim.Trace.f ~host:(Storage_node.name dead) "reconfig" "replacing at epoch %d" epoch;
+  (* 1. Resume appends through the shared segment step. The sequencer
+     stays — storage replacement does not lose allocation state — and
+     the new tail segment takes the old tail's chains with the empty
+     spare in [dead]'s slot, so nothing has to be copied first. The
+     history chains lose [dead]; the head-most survivor of each is
+     authoritative, since anything acknowledged to a client reached it
+     before the seal. A chain with no survivor gets the spare: data
+     that only the dead node held (a torn append's head when the head
+     died, or a whole chain of length one) is unrecoverable, exactly
+     like a replica loss on the real system, and resolves as holes. *)
   let spare_name = Printf.sprintf "storage-spare-%d" t.spare_count in
   t.spare_count <- t.spare_count + 1;
-  let spare = Storage_node.create ~net:t.cluster_net ~name:spare_name ~params:t.p () in
-  ignore (Sim.Net.call ~from:t.reconfig_host (Storage_node.seal_service spare) epoch : Types.offset);
-  (* 4. Copy the surviving prefix onto the spare, per segment the dead
-     member served, [copy_window] local offsets in flight so the
-     rebuild is bounded by SSD bandwidth, not round trips. The
-     head-most survivor of each chain is authoritative: anything
-     acknowledged to a client reached it before the seal. Data present
-     only on the dead node (a torn append's head when the head died) is
-     unrecoverable, exactly like a replica loss on the real system —
-     the slot reads as unwritten and gets hole-filled. *)
-  let copied_entries = ref 0 in
-  let copied_bytes = ref 0 in
-  let copy_range ~src ~lo ~hi =
-    let copy_one loff =
-      match
-        Sim.Net.call_r ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.entry_bytes
-          ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host (Storage_node.read_service src)
-          { Storage_node.repoch = epoch; roffset = loff }
-      with
-      | Error _ | Ok (Types.Read_sealed _) ->
-          () (* survivor unreachable: the next monitor round handles it *)
-      | Ok Types.Read_unwritten -> ()
-      | Ok Types.Read_trimmed ->
-          ignore
-            (Sim.Net.call_r ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
-               (Storage_node.trim_service spare)
-               { Storage_node.repoch = epoch; roffset = loff }
-              : (unit, Sim.Net.rpc_error) result)
-      | Ok (Types.Read_data e) -> (
-          match
-            Sim.Net.call_r ~req_bytes:t.p.entry_bytes ~resp_bytes:t.p.rpc_bytes
-              ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
-              (Storage_node.write_service spare)
-              { Storage_node.wepoch = epoch; woffset = loff; wcell = Types.Data e }
-          with
-          | Ok Types.Write_ok ->
-              incr copied_entries;
-              copied_bytes := !copied_bytes + t.p.entry_bytes
-          | Ok _ | Error _ -> ())
-      | Ok Types.Read_junk -> (
-          match
-            Sim.Net.call_r ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes
-              ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
-              (Storage_node.write_service spare)
-              { Storage_node.wepoch = epoch; woffset = loff; wcell = Types.Junk }
-          with
-          | Ok Types.Write_ok ->
-              incr copied_entries;
-              copied_bytes := !copied_bytes + t.p.rpc_bytes
-          | Ok _ | Error _ -> ())
-    in
-    if hi >= lo then begin
-      let workers = min copy_window (hi - lo + 1) in
-      let remaining = ref workers in
-      let all_done = Sim.Ivar.create () in
-      let span_parent = Sim.Span.current () in
-      for w = 0 to workers - 1 do
-        Sim.Engine.spawn (fun () ->
-            Sim.Span.with_parent span_parent @@ fun () ->
-            let loff = ref (lo + w) in
-            while !loff <= hi do
-              copy_one !loff;
-              loff := !loff + workers
-            done;
-            decr remaining;
-            if !remaining = 0 then Sim.Ivar.fill all_done ())
-      done;
-      Sim.Ivar.read all_done
-    end
+  let spare = provision t ~name:spare_name ~epoch in
+  let history chain =
+    if not (holds chain) then chain
+    else
+      match List.filter (fun node -> node != dead) (Array.to_list chain) with
+      | [] -> [| spare |]
+      | survivors -> Array.of_list survivors
   in
-  Sim.Span.with_span "recovery.copy" (fun () ->
-      List.iter
-        (fun (si, s) ->
-          let seg = Projection.segment old_proj si in
-          let chain = seg.Projection.seg_sets.(s) in
-          let survivor =
-            let rec first i =
-              if i >= Array.length chain then None
-              else if chain.(i) != dead && Hashtbl.mem tails (Storage_node.name chain.(i)) then
-                Some chain.(i)
-              else first (i + 1)
-            in
-            first 0
-          in
-          match survivor with
-          | None ->
-              Sim.Trace.f "reconfig" "set %d of segment %d has no surviving replica: spare holds no prefix"
-                s si
-          | Some src ->
-              let src_tail =
-                match Hashtbl.find_opt tails (Storage_node.name src) with
-                | Some tl -> tl
-                | None -> -1
-              in
-              let lo = seg.Projection.seg_local_base in
-              let hi =
-                match seg.Projection.seg_limit with
-                | None -> src_tail
-                | Some limit ->
-                    min src_tail
-                      (lo + Projection.seg_cells_below seg ~set:s ~rel:(limit - seg.Projection.seg_base) - 1)
-              in
-              copy_range ~src ~lo ~hi)
-        slots);
-  Sim.Metrics.add (Sim.Metrics.counter "cluster.copied_entries") !copied_entries;
-  (* 5. Substitute the spare into every chain slot the dead member
-     held and install the new view. A single reconfiguration agent
-     runs at a time, so a conflict is a bug. *)
-  (let slot = ref (-1) in
-   Array.iteri (fun j n -> if n == dead then slot := j) t.nodes;
-   if !slot >= 0 then t.nodes.(!slot) <- spare);
-  let segments =
-    Array.map
-      (fun seg ->
-        {
-          seg with
-          Projection.seg_sets =
-            Array.map
-              (Array.map (fun node -> if node == dead then spare else node))
-              seg.Projection.seg_sets;
-        })
-      old_proj.Projection.segments
+  let proj =
+    reseal_with_tail ~dead ~history t ~spans:"recovery" (fun ~epoch:_ ->
+        Array.map
+          (Array.map (fun node -> if node == dead then spare else node))
+          (Projection.tail_segment old_proj).Projection.seg_sets)
   in
-  let proj = Projection.v ~epoch ~segments ~sequencer:old_proj.Projection.sequencer in
-  Sim.Span.with_span "recovery.install" (fun () ->
-      match Sim.Net.call ~from:t.reconfig_host (Auxiliary.propose_service t.aux) proj with
-      | Auxiliary.Installed -> ()
-      | Auxiliary.Conflict _ ->
-          failwith "Cluster.replace_storage_node: concurrent reconfiguration");
+  t.nodes <- Array.map (fun node -> if node == dead then spare else node) t.nodes;
   Sim.Metrics.incr (Sim.Metrics.counter "cluster.recoveries");
   let installed = Sim.Engine.now () in
-  t.recoveries <-
+  let record =
     {
       rec_epoch = epoch;
       rec_dead = Storage_node.name dead;
       rec_spare = spare_name;
       rec_started_us = started;
       rec_installed_us = installed;
-      rec_copied_entries = !copied_entries;
-      rec_copied_bytes = !copied_bytes;
+      rec_replicated_us = None;
+      rec_copied_entries = 0;
+      rec_copied_bytes = 0;
     }
-    :: t.recoveries;
+  in
+  t.recoveries <- record :: t.recoveries;
   Sim.Trace.f ~host:spare_name "reconfig"
-    "epoch %d installed: %s -> %s, copied %d cells (%d bytes) in %.0f us" epoch
-    (Storage_node.name dead) spare_name !copied_entries !copied_bytes (installed -. started);
+    "epoch %d installed: %s -> %s, appends resumed after %.0f us" epoch
+    (Storage_node.name dead) spare_name (installed -. started);
   announce_installed "storage" epoch;
+  (* 2. Rebuild the history chains that held [dead] and kept a
+     survivor, in every bounded segment: the dead member may serve
+     chains in several (scale-out reuses the old tail's nodes). *)
+  let slots = ref [] in
+  for si = Projection.num_segments proj - 2 downto 0 do
+    let old_sets = (Projection.segment old_proj si).Projection.seg_sets in
+    Array.iteri
+      (fun s chain ->
+        if holds old_sets.(s) && chain.(0) != spare then slots := (si, s, chain.(0)) :: !slots)
+      (Projection.segment proj si).Projection.seg_sets
+  done;
+  let entries, bytes, spare_ok =
+    if !slots = [] then (0, 0, true) else rebuild t ~copy_window ~proj ~spare !slots
+  in
+  Sim.Metrics.add (Sim.Metrics.counter "cluster.copied_entries") entries;
+  let replicated = Sim.Engine.now () in
+  (* Still the newest record: the lock was held throughout. *)
+  t.recoveries <-
+    {
+      record with
+      rec_replicated_us = (if spare_ok then Some replicated else None);
+      rec_copied_entries = entries;
+      rec_copied_bytes = bytes;
+    }
+    :: List.tl t.recoveries;
+  Sim.Trace.f ~host:spare_name "reconfig"
+    "history rebuilt: copied %d cells (%d bytes) in %.0f us%s" entries bytes
+    (replicated -. installed)
+    (if spare_ok then "" else ", spare lost mid-copy");
   epoch
 
 (* ------------------------------------------------------------------ *)
@@ -660,77 +779,22 @@ let tail_members proj =
     seg.Projection.seg_sets;
   Array.of_list (List.rev !seen)
 
-(* First local offset past every segment's local range, with the tail
-   segment's extent fixed by the seal point. *)
-let next_local_base segments ~seal_tail =
-  Array.fold_left
-    (fun acc seg ->
-      let span =
-        match seg.Projection.seg_limit with
-        | Some limit -> limit - seg.Projection.seg_base
-        | None -> max 0 (seal_tail - seg.Projection.seg_base)
-      in
-      max acc (seg.Projection.seg_local_base + Projection.seg_local_span seg ~span))
-    0 segments
-
-(* The shared §2.2 core of scale_out/scale_in: seal the sequencer at
-   the new epoch — its tail is the boundary — seal every storage node
-   of every segment, bound the old tail segment at the boundary (drop
-   it if nothing was ever appended there), open a new unbounded tail
-   segment over [new_sets], and propose. No data moves: old offsets
-   keep resolving through the segment that wrote them. *)
-let reseal_with_tail t ~kind ~started new_sets_of =
+(* Scale-out/scale-in: the shared segment step over a new tail node
+   set, recorded as a scale event. *)
+let scale_step t ~kind ~started new_sets_of =
   let kind_name = match kind with Scale_in -> "scale-in" | _ -> "scale-out" in
   announce_started kind_name;
-  let old_proj = Auxiliary.latest t.aux in
-  let epoch = old_proj.Projection.epoch + 1 in
-  let servers_before = Projection.num_servers old_proj in
-  let boundary =
-    Sim.Span.with_span "scale.seal" (fun () ->
-        let boundary =
-          Sim.Net.call ~from:t.reconfig_host
-            (Sequencer.seal_service old_proj.Projection.sequencer)
-            epoch
-        in
-        ignore (seal_storage t old_proj ~epoch : (string, Types.offset) Hashtbl.t);
-        boundary)
-  in
-  let new_sets = new_sets_of ~epoch in
-  let old_segments = old_proj.Projection.segments in
-  let last = Array.length old_segments - 1 in
-  let kept =
-    List.concat
-      (Array.to_list
-         (Array.mapi
-            (fun i seg ->
-              if i < last then [ seg ]
-              else if boundary > seg.Projection.seg_base then
-                (* Bound the old tail at the seal point. *)
-                [ { seg with Projection.seg_limit = Some boundary } ]
-              else [ (* never appended into: drop the empty segment *) ])
-            old_segments))
-  in
-  let tail_seg =
-    {
-      Projection.seg_base = boundary;
-      seg_limit = None;
-      seg_local_base = next_local_base old_segments ~seal_tail:boundary;
-      seg_sets = new_sets;
-    }
-  in
-  let segments = Array.of_list (kept @ [ tail_seg ]) in
-  let proj = Projection.v ~epoch ~segments ~sequencer:old_proj.Projection.sequencer in
-  Sim.Span.with_span "scale.install" (fun () ->
-      match Sim.Net.call ~from:t.reconfig_host (Auxiliary.propose_service t.aux) proj with
-      | Auxiliary.Installed -> ()
-      | Auxiliary.Conflict _ -> failwith "Cluster.scale: concurrent reconfiguration");
+  let servers_before = Projection.num_servers (Auxiliary.latest t.aux) in
+  let proj = reseal_with_tail t ~spans:"scale" new_sets_of in
+  let epoch = proj.Projection.epoch in
   t.nodes <- Array.of_list (Projection.servers proj);
   let installed = Sim.Engine.now () in
+  let tail_seg = Projection.tail_segment proj in
   let event =
     {
       sc_epoch = epoch;
       sc_kind = kind;
-      sc_boundary = boundary;
+      sc_boundary = tail_seg.Projection.seg_base;
       sc_servers_before = servers_before;
       sc_servers_after = Projection.num_servers proj;
       sc_segments = Projection.num_segments proj;
@@ -741,7 +805,7 @@ let reseal_with_tail t ~kind ~started new_sets_of =
   in
   t.scale_events <- event :: t.scale_events;
   Sim.Trace.f "reconfig" "epoch %d: tail segment sealed at %d, %d -> %d servers, %d segments"
-    epoch boundary servers_before event.sc_servers_after event.sc_segments;
+    epoch event.sc_boundary servers_before event.sc_servers_after event.sc_segments;
   announce_installed kind_name epoch;
   epoch
 
@@ -761,7 +825,7 @@ let scale_out ?chain_length ?chains t ~add_servers =
     | Some c -> c
     | None -> Array.length (Projection.tail_segment old_proj).Projection.seg_sets.(0)
   in
-  reseal_with_tail t ~kind:Scale_out ~started (fun ~epoch ->
+  scale_step t ~kind:Scale_out ~started (fun ~epoch ->
       (* Provision the new nodes pre-sealed at the new epoch, then
          stripe the new tail segment over the enlarged set: the old
          tail's nodes plus the fresh ones. *)
@@ -769,11 +833,7 @@ let scale_out ?chain_length ?chains t ~add_servers =
         Array.init add_servers (fun _ ->
             let name = Printf.sprintf "storage-%d" t.storage_count in
             t.storage_count <- t.storage_count + 1;
-            let node = Storage_node.create ~net:t.cluster_net ~name ~params:t.p () in
-            ignore
-              (Sim.Net.call ~from:t.reconfig_host (Storage_node.seal_service node) epoch
-                : Types.offset);
-            node)
+            provision t ~name ~epoch)
       in
       let members = Array.append (tail_members old_proj) fresh in
       chains_of ~context:"Cluster.scale_out" ~chain_length ?chains members)
@@ -802,7 +862,7 @@ let scale_in ?chain_length ?chains t ~remove_servers =
   (* The removed nodes stay in the cluster as long as a bounded
      segment still maps onto them; {!retire_trimmed_segments} releases
      them once their data is prefix-trimmed away. *)
-  reseal_with_tail t ~kind:Scale_in ~started (fun ~epoch:_ ->
+  scale_step t ~kind:Scale_in ~started (fun ~epoch:_ ->
       chains_of ~context:"Cluster.scale_in" ~chain_length ?chains keep)
 
 (* A bounded segment is disposable once every node of every chain has

@@ -80,18 +80,31 @@ val last_rebuild_scan : t -> int
 (** {2 Storage-node failure recovery (§2.2)} *)
 
 (** [replace_storage_node t ~dead] swaps a failed chain member for a
-    freshly provisioned spare: seal the sequencer and every storage
-    node at the next epoch (the sequencer survives — allocation state
-    is not lost), copy the head-most surviving replica's prefix onto
-    the spare ([copy_window] cells in flight, default 16) for {e every}
-    segment the dead member served, substitute the spare into each of
-    the dead member's chain slots, and install the new projection.
-    Clients ride through on sealed errors and retry their in-flight
-    offsets under the new view. Returns the new epoch.
+    freshly provisioned spare in two epochs, and returns the first.
+
+    The first epoch takes the log's usual membership step (the one
+    {!scale_out} takes): the sequencer and every storage node are
+    sealed (the sequencer survives — allocation state is not lost),
+    the old tail segment is bounded at the sequencer's tail, every
+    history chain loses [dead], and a new tail segment opens over the
+    old tail's chains with the empty spare in [dead]'s slot. Appends
+    resume as soon as it installs; clients ride through on sealed
+    errors and retry their in-flight offsets under the new view.
+
+    The second epoch restores replication. The head-most survivor of
+    every history chain [dead] served is copied onto the spare
+    ([copy_window] cells in flight, default 16) while appends flow.
+    The survivors are then sealed, the cells the copy found unwritten
+    are copied again (late writes of earlier grants and hole fills
+    land there), and the spare joins the end of those chains. The call
+    returns after that install, so the spare then holds every cell of
+    [dead]'s old range.
 
     Data that reached {e only} the dead node (the head of a torn
-    append) is unrecoverable and resolves as a hole, matching the
-    real system's failure model.
+    append, or a chain of length one) is unrecoverable and resolves as
+    a hole, matching the real system's failure model. A spare that
+    stops answering mid-copy still joins the chains; the failure
+    monitor's replacement of it then rebuilds them all.
 
     If [dead] is no longer in the projection when the operation runs —
     a concurrent recovery (the failure monitor racing a scheduled
@@ -99,13 +112,19 @@ val last_rebuild_scan : t -> int
     returns the current epoch. *)
 val replace_storage_node : ?copy_window:int -> t -> dead:Storage_node.t -> Types.epoch
 
-(** One completed storage-node recovery, for availability reports. *)
+(** One storage-node recovery, for availability reports. It is
+    recorded when appends resume; the copy fields and
+    [rec_replicated_us] are filled in when the rebuild finishes. *)
 type recovery = {
-  rec_epoch : Types.epoch;
+  rec_epoch : Types.epoch;  (** the epoch that took [rec_dead] out *)
   rec_dead : string;
   rec_spare : string;
   rec_started_us : float;  (** seal began *)
-  rec_installed_us : float;  (** new projection accepted *)
+  rec_installed_us : float;  (** [rec_epoch] accepted: appends resumed *)
+  rec_replicated_us : float option;
+      (** the next epoch accepted with the spare holding [rec_dead]'s
+          history: replication restored. [None] while the rebuild
+          runs, or if the spare failed during it. *)
   rec_copied_entries : int;  (** cells copied onto the spare *)
   rec_copied_bytes : int;  (** rebuild volume *)
 }
@@ -175,7 +194,8 @@ val scale_events : t -> scale_event list
     lock: concurrent callers — the failure monitor racing a scheduled
     fault-plan action, say — queue and re-read the projection once
     they hold it, so the auxiliary never sees two proposals derived
-    from the same predecessor. *)
+    from the same predecessor. A storage replacement holds the lock
+    through its rebuild, until the spare is back in every chain. *)
 
 (** Deliberate protocol breakers for the simulation fuzzer's
     sensitivity check (DESIGN.md §9): each flag disables one step the
@@ -227,5 +247,6 @@ val enable_failpoint : string -> unit
     probes is declared dead and replaced via {!replace_storage_node}.
     The probe does not queue behind SSD work, so a node busy with a
     rebuild backlog stays in, and it carries no epoch, so the monitor
-    never fires on reconfiguration itself. *)
+    never fires on reconfiguration itself. The replacement runs
+    inline, so the monitor does not probe while a rebuild copies. *)
 val start_failure_monitor : ?probe_interval_us:float -> ?probe_timeout_us:float -> t -> unit

@@ -5,6 +5,7 @@ type incident = {
   inc_crashed_us : float;
   inc_detected_us : float;
   inc_recovered_us : float;
+  inc_replicated_us : float option;
   inc_unavailable_us : float;
   inc_rebuild_entries : int;
   inc_rebuild_bytes : int;
@@ -43,6 +44,7 @@ let incidents fault cluster =
            inc_crashed_us = crashed;
            inc_detected_us = r.rec_started_us;
            inc_recovered_us = r.rec_installed_us;
+           inc_replicated_us = r.rec_replicated_us;
            inc_unavailable_us = r.rec_installed_us -. crashed;
            inc_rebuild_entries = r.rec_copied_entries;
            inc_rebuild_bytes = r.rec_copied_bytes;
@@ -51,11 +53,14 @@ let incidents fault cluster =
 let pp_incident ppf i =
   Format.fprintf ppf
     "%s -> %s (epoch %d): crash %.0fus, detected +%.0fus, recovered +%.0fus \
-     (window %.1fms), rebuilt %d entries / %d bytes"
+     (window %.1fms), %s, rebuilt %d entries / %d bytes"
     i.inc_dead i.inc_spare i.inc_epoch i.inc_crashed_us
     (i.inc_detected_us -. i.inc_crashed_us)
     (i.inc_recovered_us -. i.inc_crashed_us)
     (i.inc_unavailable_us /. 1_000.)
+    (match i.inc_replicated_us with
+    | Some t -> Printf.sprintf "replicated +%.0fus" (t -. i.inc_crashed_us)
+    | None -> "not yet replicated")
     i.inc_rebuild_entries i.inc_rebuild_bytes
 
 type recorder = {

@@ -13,7 +13,10 @@ type incident = {
   inc_spare : string;
   inc_crashed_us : float;  (** injected crash (detection time if none) *)
   inc_detected_us : float;  (** recovery seal began *)
-  inc_recovered_us : float;  (** new projection accepted *)
+  inc_recovered_us : float;  (** new projection accepted: appends resumed *)
+  inc_replicated_us : float option;
+      (** the spare holds the dead node's history: replication
+          restored ([rec_replicated_us] of {!Corfu.Cluster.recovery}) *)
   inc_unavailable_us : float;  (** recovered - crashed *)
   inc_rebuild_entries : int;
   inc_rebuild_bytes : int;

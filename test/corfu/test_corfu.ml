@@ -1321,6 +1321,89 @@ let test_recover_replace_storage_node () =
           check_bool "window positive" true (r.Cluster.rec_installed_us > r.Cluster.rec_started_us)
       | l -> Alcotest.failf "expected one recovery, got %d" (List.length l))
 
+(* Replacement installs two epochs: the first takes the dead node out
+   and opens a tail segment with the empty spare, so appends resume at
+   once; the second follows the copy onto the spare. An append issued
+   during the replacement is acknowledged before replication is back,
+   and the finished spare is a cell-for-cell copy of the survivor,
+   including cells written under the first epoch by a late grant and a
+   hole fill, which only the catch-up pass can have copied. *)
+let test_recover_appends_before_rebuild () =
+  with_faulty_cluster (fun cluster f ->
+      let w = Cluster.new_client cluster ~name:"writer" in
+      (* Offsets 0..3 are granted first and left unwritten: 0 and 2
+         are chain 0's first two cells, which the copy reads first. *)
+      let late = Cluster.new_client cluster ~name:"late" in
+      let g = Client.reserve late ~streams:[ 2 ] ~count:4 in
+      check_int "grant base" 0 g.Client.g_base;
+      for i = 4 to 603 do
+        ignore (Client.append w ~streams:[ 1 ] (payload (string_of_int i)))
+      done;
+      (* chain 0 = storage-0 -> storage-1 holds the 302 even offsets *)
+      let dead = (Cluster.storage_nodes cluster).(0) in
+      let survivor = (Cluster.storage_nodes cluster).(1) in
+      Sim.Fault.crash f (Storage_node.name dead);
+      let acked_at = ref infinity and late_at = ref infinity in
+      Sim.Engine.spawn (fun () ->
+          Sim.Engine.sleep 1_000.;
+          ignore (Client.append w ~streams:[ 1 ] (payload "during"));
+          acked_at := Sim.Engine.now ());
+      Sim.Engine.spawn (fun () ->
+          while Cluster.recoveries cluster = [] do
+            Sim.Engine.sleep 200.
+          done;
+          Sim.Engine.sleep 2_000.;
+          Client.refresh late;
+          check_int "late grant lands" 0 (Client.write_granted late g ~index:0 (payload "late"));
+          let filler = Cluster.new_client cluster ~name:"filler" in
+          check_bool "hole filled" true (Client.fill filler 2 = Client.Filled);
+          late_at := Sim.Engine.now ());
+      let epoch = Cluster.replace_storage_node cluster ~dead in
+      check_int "first epoch returned" 1 epoch;
+      let r =
+        match Cluster.recoveries cluster with
+        | [ r ] -> r
+        | l -> Alcotest.failf "expected one recovery, got %d" (List.length l)
+      in
+      let replicated =
+        match r.Cluster.rec_replicated_us with
+        | Some t -> t
+        | None -> Alcotest.fail "replication not restored"
+      in
+      check_bool "append acknowledged before replication was restored" true
+        (!acked_at < replicated);
+      check_bool "late writes landed during the copy" true
+        (!late_at > r.Cluster.rec_installed_us && !late_at < replicated);
+      check_int "302 cells copied" 302 r.Cluster.rec_copied_entries;
+      let proj = Auxiliary.latest (Cluster.auxiliary cluster) in
+      check_int "restoring epoch installed" 2 proj.Projection.epoch;
+      let history = Projection.segment proj 0 in
+      let chain = history.Projection.seg_sets.(0) in
+      check_int "spare appended to the history chain" 2 (Array.length chain);
+      check_bool "survivor heads it" true (chain.(0) == survivor);
+      let spare = chain.(1) in
+      check_string "the spare" r.Cluster.rec_spare (Storage_node.name spare);
+      let auditor = Sim.Net.add_host (Cluster.net cluster) "auditor" in
+      let raw node loff =
+        match
+          Sim.Net.call ~from:auditor (Storage_node.read_service node)
+            { Storage_node.repoch = proj.Projection.epoch; roffset = loff }
+        with
+        | Types.Read_data e -> "data " ^ payload_str e
+        | Types.Read_junk -> "junk"
+        | Types.Read_unwritten -> "unwritten"
+        | Types.Read_trimmed -> "trimmed"
+        | Types.Read_sealed e -> Printf.sprintf "sealed %d" e
+      in
+      let rel = Option.get history.Projection.seg_limit - history.Projection.seg_base in
+      let cells = Projection.seg_cells_below history ~set:0 ~rel in
+      check_bool "at least 200 cells" true (cells >= 200);
+      for loff = 0 to cells - 1 do
+        check_string (Printf.sprintf "local %d" loff) (raw survivor loff) (raw spare loff)
+      done;
+      check_string "late grant copied" "data late" (raw spare 0);
+      check_string "hole fill copied" "junk" (raw spare 1))
+
 let test_recover_monitor_detects () =
   with_faulty_cluster (fun cluster f ->
       Cluster.start_failure_monitor cluster;
@@ -1729,6 +1812,8 @@ let () =
       ( "fault-recovery",
         [
           Alcotest.test_case "replace storage node" `Quick test_recover_replace_storage_node;
+          Alcotest.test_case "appends resume before the rebuild" `Quick
+            test_recover_appends_before_rebuild;
           Alcotest.test_case "monitor detects and replaces" `Quick test_recover_monitor_detects;
           Alcotest.test_case "ssd failure triggers replacement" `Quick test_recover_ssd_failure;
           Alcotest.test_case "busy ssd is not replaced" `Quick test_busy_ssd_not_replaced;

@@ -770,6 +770,95 @@ let test_lin_across_storage_crash () =
   Alcotest.(check int) "every op completed" 48 completed;
   check_bool "linearizable through crash and recovery" true (Lin.check_register events)
 
+(* A second fault while a storage replacement rebuilds its spare: the
+   monitor must still converge, and every acknowledged append must
+   read back. [victim] picks the node to crash once appends have
+   resumed under the first epoch; [down_us] restarts it after that
+   long, or never. *)
+let rebuild_fault_run ~victim ~down_us =
+  Sim.Engine.run ~seed:79 (fun () ->
+      let cluster = Corfu.Cluster.create ~servers:4 () in
+      let fault =
+        Chaos.install ~seed:5 ~plan:[ (30_000., Sim.Fault.Crash "storage-0") ] cluster
+      in
+      Corfu.Cluster.start_failure_monitor cluster;
+      let acked = ref [] in
+      for h = 0 to 3 do
+        let c = Corfu.Cluster.new_client cluster ~name:(Printf.sprintf "app-%d" h) in
+        Sim.Engine.spawn (fun () ->
+            for i = 0 to 199 do
+              let p = Printf.sprintf "%d-%d" h i in
+              let off = Corfu.Client.append c ~streams:[ 1 ] (Bytes.of_string p) in
+              acked := (off, p) :: !acked;
+              Sim.Engine.sleep 500.
+            done)
+      done;
+      Sim.Engine.spawn (fun () ->
+          while Corfu.Cluster.recoveries cluster = [] do
+            Sim.Engine.sleep 200.
+          done;
+          Sim.Engine.sleep 2_000.;
+          let name = victim (List.hd (Corfu.Cluster.recoveries cluster)) in
+          Sim.Fault.crash fault name;
+          match down_us with
+          | Some d ->
+              Sim.Engine.sleep d;
+              Sim.Fault.restart fault name
+          | None -> ());
+      Sim.Engine.sleep 1_000_000.;
+      let reader = Corfu.Cluster.new_client cluster ~name:"auditor" in
+      let lost =
+        List.filter
+          (fun (off, p) ->
+            match Corfu.Client.read_resolved reader off with
+            | Corfu.Client.Data e -> not (String.equal (Bytes.to_string e.Corfu.Types.payload) p)
+            | _ -> true)
+          !acked
+      in
+      (* converged: every chain of every segment is back to two live
+         replicas *)
+      let proj = Corfu.Auxiliary.latest (Corfu.Cluster.auxiliary cluster) in
+      let whole =
+        Array.for_all
+          (fun seg ->
+            Array.for_all
+              (fun chain ->
+                Array.length chain = 2
+                && Array.for_all
+                     (fun n -> not (Sim.Fault.is_crashed fault (Corfu.Storage_node.name n)))
+                     chain)
+              seg.Corfu.Projection.seg_sets)
+          proj.Corfu.Projection.segments
+      in
+      (List.length !acked, List.length lost, whole, Corfu.Cluster.recoveries cluster))
+
+let test_fault_during_rebuild () =
+  (* The spare dies mid-copy and stays dead: the rebuild gives it up,
+     and the monitor's replacement of it rebuilds every chain. *)
+  let acked, lost, whole, recoveries =
+    rebuild_fault_run ~victim:(fun r -> r.Corfu.Cluster.rec_spare) ~down_us:None
+  in
+  Alcotest.(check int) "every append acked" 800 acked;
+  Alcotest.(check int) "none lost" 0 lost;
+  check_bool "every chain whole again" true whole;
+  (match recoveries with
+  | [ first; second ] ->
+      Alcotest.(check string) "then the spare" first.Corfu.Cluster.rec_spare second.rec_dead;
+      check_bool "the lost spare restored nothing" true (first.rec_replicated_us = None);
+      check_bool "its replacement did" true (second.rec_replicated_us <> None)
+  | l -> Alcotest.failf "expected two recoveries, got %d" (List.length l));
+  (* The survivor, the only copy of the history, goes down for 20 ms:
+     the copy waits for it, and one replacement restores replication. *)
+  let acked, lost, whole, recoveries =
+    rebuild_fault_run ~victim:(fun _ -> "storage-1") ~down_us:(Some 20_000.)
+  in
+  Alcotest.(check int) "every append acked" 800 acked;
+  Alcotest.(check int) "none lost" 0 lost;
+  check_bool "every chain whole again" true whole;
+  match recoveries with
+  | [ r ] -> check_bool "replication restored" true (r.Corfu.Cluster.rec_replicated_us <> None)
+  | l -> Alcotest.failf "expected one recovery, got %d" (List.length l)
+
 (* ------------------------------------------------------------------ *)
 (* Report: schema v2 round-trip and v1 back-compat                    *)
 (* ------------------------------------------------------------------ *)
@@ -976,5 +1065,6 @@ let () =
             test_lin_across_sequencer_failover;
           Alcotest.test_case "linearizable across storage crash" `Quick
             test_lin_across_storage_crash;
+          Alcotest.test_case "fault during the rebuild" `Quick test_fault_during_rebuild;
         ] );
     ]
