@@ -799,6 +799,27 @@ let sync_all t =
   if tail > t.known_tail then t.known_tail <- tail;
   tail
 
+(* Membership of every hosted stream below [off + 1], where [off] holds
+   an entry this runtime wrote: the entry's headers list each of its
+   streams' last K offsets issued before [off] (§5), the walk a peek
+   would seed. Peeks instead when a hosted stream is not on the entry
+   and no other sync has covered it, or the entry has left the cache;
+   the peek's walk covers the entry's streams too, so they are not
+   walked twice. Membership only grows, so a stream found complete
+   here stays complete. *)
+let sync_through_own t off =
+  let hos = hosted_list t in
+  match Corfu.Client.cached t.cl off with
+  | Some entry
+    when List.for_all
+           (fun ho ->
+             Corfu.Stream.complete_below ho.stream (off + 1)
+             || Corfu.Stream.on_entry ho.stream off entry)
+           hos ->
+      List.iter (fun ho -> Corfu.Stream.sync_from ho.stream off entry) hos;
+      if off + 1 > t.known_tail then t.known_tail <- off + 1
+  | Some _ | None -> ignore (sync_all t)
+
 let play_to t upto =
   with_play_lock t (fun () ->
       (* Tracing-disabled playback must not build the span args. *)
@@ -1116,10 +1137,9 @@ let end_tx ?(stale = false) t =
           else await_decided_scanning t cpos commit
         end
         else begin
-          let hosted_write = List.exists (Hashtbl.mem t.objects) wstreams in
-          ignore (sync_all t);
-          if hosted_write then begin
+          if List.exists (Hashtbl.mem t.objects) wstreams then begin
             (* Our own playback of the commit entry decides it. *)
+            sync_through_own t commit_off;
             play_to t (commit_off + 1);
             await_decided t cpos
           end
@@ -1127,6 +1147,7 @@ let end_tx ?(stale = false) t =
             (* Remote-only writes: play to just before the commit
                point, then decide from local read versions — parking
                like a consumer if a read object is frozen. *)
+            ignore (sync_all t);
             play_to t commit_off;
             with_play_lock t (fun () ->
                 match Hashtbl.find_opt t.decided cpos with

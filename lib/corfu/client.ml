@@ -250,12 +250,33 @@ let rec append_inner t ~streams payload =
    payload to a fresh offset; retrying with a fresh offset on seal, as
    we used to, could commit the entry twice. *)
 and append_at t ~seq ~streams ~payload off entry =
+  (* Until the write decides, this client's own readers of [off] wait
+     for it in the shared-read table ({!read_shared}) instead of
+     polling storage, where the offset reads as unwritten until the
+     chain write lands and the poll's backoff overshoots it. A lost
+     slot hands them [Unwritten]: read it yourself. *)
+  let own =
+    if Hashtbl.mem t.inflight off then None
+    else begin
+      let iv = Sim.Ivar.create () in
+      Hashtbl.replace t.inflight off iv;
+      Some iv
+    end
+  in
+  let settle outcome =
+    match own with
+    | Some iv ->
+        Hashtbl.remove t.inflight off;
+        Sim.Ivar.fill iv outcome
+    | None -> ()
+  in
   let rec attempt ~seq backoff =
     if t.proj.Projection.sequencer != seq then
       match probe_stale_grant t off entry with
       | `Complete -> attempt ~seq:t.proj.Projection.sequencer backoff
       | `Abandon ->
           note_retry t;
+          settle Unwritten;
           append_inner t ~streams payload
     else
       match write_chain t off (Types.Data entry) with
@@ -265,10 +286,15 @@ and append_at t ~seq ~streams ~payload off entry =
                  round trip. *)
               cache_insert t off entry;
               note_own_append t ~streams off);
+          settle (Data entry);
           off
       | Chain_lost _ ->
+          settle Unwritten;
           (* Our offset was filled before we reached the head (we were
-             slow past the hole timeout). Grab a fresh offset. *)
+             slow past the hole timeout). The junked slot breaks
+             nothing: stream readers treat offsets the sequencer issued
+             but that carry no header as junk and scan backward. Grab a
+             fresh offset. *)
           append_inner t ~streams payload
       | Chain_sealed ->
           note_retry t;
@@ -363,38 +389,8 @@ let write_granted_inner t g ~index payload =
   let off = g.g_base + index in
   Sim.Metrics.time t.append_h
   @@ fun () ->
-  let entry = { Types.headers = grant_headers t g ~index off; payload } in
-  let rec attempt ~seq backoff =
-    if t.proj.Projection.sequencer != seq then
-      (* The grant's sequencer was replaced mid-write; see
-         {!probe_stale_grant} for why the head replica decides. *)
-      match probe_stale_grant t off entry with
-      | `Complete -> attempt ~seq:t.proj.Projection.sequencer backoff
-      | `Abandon ->
-          note_retry t;
-          append_inner t ~streams:g.g_streams payload
-    else
-      match write_chain t off (Types.Data entry) with
-      | Chain_ok ->
-          commit_marker t ~streams:g.g_streams ~off (fun () ->
-              cache_insert t off entry;
-              note_own_append t ~streams:g.g_streams off);
-          off
-      | Chain_lost _ ->
-          (* The granted offset was filled (we blew the hole timeout).
-             The junked slot breaks nothing: stream readers treat offsets
-             the sequencer issued but that carry no header as junk and
-             scan backward. Land the payload at a fresh offset. *)
-          append_inner t ~streams:g.g_streams payload
-      | Chain_sealed ->
-          note_retry t;
-          refresh t;
-          attempt ~seq backoff
-      | Chain_down ->
-          let backoff = down_retry t backoff in
-          attempt ~seq backoff
-  in
-  attempt ~seq:g.g_seq t.p.retry_sleep_us
+  append_at t ~seq:g.g_seq ~streams:g.g_streams ~payload off
+    { Types.headers = grant_headers t g ~index off; payload }
 
 let write_granted t g ~index payload =
   if index < 0 || index >= g.g_count then invalid_arg "Client.write_granted: index out of range";
@@ -675,15 +671,19 @@ let read_resolved t off =
   poll 100.
 
 (* Coalesced fetch: one outstanding read per offset, shared by all
-   waiters; Data results are cached for the streaming layer. *)
-let read_shared t off =
+   waiters, and none at all while this client writes the offset
+   ({!append_at}); Data results are cached for the streaming layer. *)
+let rec read_shared t off =
   match Hashtbl.find_opt t.cache off with
   | Some e ->
       Sim.Metrics.incr t.cache_hits_c;
       Data e
   | None -> (
       match Hashtbl.find_opt t.inflight off with
-      | Some iv -> Sim.Ivar.read iv
+      | Some iv -> (
+          match Sim.Ivar.read iv with
+          | Unwritten -> (* our own write lost the slot *) read_shared t off
+          | outcome -> outcome)
       | None ->
           Sim.Metrics.incr t.cache_misses_c;
           let iv = Sim.Ivar.create () in

@@ -122,7 +122,10 @@ val read_resolved : t -> Types.offset -> read_outcome
 
 (** [read_shared t off] is {!read_resolved} with request coalescing
     and caching: concurrent callers for the same offset share one
-    fetch, and [Data] results land in the entry cache. This is the
+    fetch, and [Data] results land in the entry cache. An offset this
+    client is itself writing is not fetched: the callers wait for the
+    write and get its entry once the chain acknowledges it (or fetch
+    after all if the write loses the slot). This is the
     playback fetch path — streams prefetch through it so log reads
     pipeline instead of paying one round trip per entry. *)
 val read_shared : t -> Types.offset -> read_outcome

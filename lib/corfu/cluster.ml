@@ -661,7 +661,23 @@ let rebuild t ~copy_window ~proj ~spare slots =
   announce_installed "rebuild" restore;
   (!copied_entries, !copied_bytes, !spare_ok)
 
+(* How long a liveness probe waits for its answer. The service does
+   not queue behind SSD work, so a live node answers in a round trip. *)
+let probe_timeout_us = 10_000.
+
+let answers_probe ?(timeout_us = probe_timeout_us) t node =
+  Sim.Metrics.incr (Sim.Metrics.counter "cluster.probes");
+  match
+    Sim.Net.call_r ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes ~timeout_us
+      ~from:t.reconfig_host (Storage_node.liveness_service node) ()
+  with
+  | Ok () -> true
+  | Error _ ->
+      Sim.Metrics.incr (Sim.Metrics.counter "cluster.probe_failures");
+      false
+
 let replace_storage_node ?(copy_window = 16) t ~dead =
+  let queued = t.reconfig_busy in
   with_reconfig t
   @@ fun () ->
   (* Re-read under the lock: a queued replacement must see its
@@ -677,6 +693,18 @@ let replace_storage_node ?(copy_window = 16) t ~dead =
        cluster is in the state the caller wanted. *)
     Sim.Trace.f ~host:(Storage_node.name dead) "reconfig"
       "already out of the projection: replacement is a no-op";
+    old_proj.Projection.epoch
+  end
+  else if queued && answers_probe t dead then begin
+    (* The suspicion went stale while we waited for the lock: the node
+       healed and serves again, and readers may already have applied a
+       write that only it holds (a torn append's head). Dropping it now
+       would turn that cell into a hole under them. A replacement that
+       did not wait acts on probes that just failed, so it skips the
+       re-probe. *)
+    Sim.Metrics.incr (Sim.Metrics.counter "cluster.replacements_withdrawn");
+    Sim.Trace.f ~host:(Storage_node.name dead) "reconfig"
+      "answers again after waiting for the reconfiguration lock: replacement withdrawn";
     old_proj.Projection.epoch
   end
   else
@@ -948,20 +976,9 @@ let retire_trimmed_segments t =
 (* Failure monitor                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let start_failure_monitor ?(probe_interval_us = 20_000.) ?(probe_timeout_us = 10_000.) t =
+let start_failure_monitor ?(probe_interval_us = 20_000.) ?(probe_timeout_us = probe_timeout_us) t =
   Sim.Engine.spawn (fun () ->
-      let probe node =
-        Sim.Metrics.incr (Sim.Metrics.counter "cluster.probes");
-        match
-          Sim.Net.call_r ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes
-            ~timeout_us:probe_timeout_us ~from:t.reconfig_host (Storage_node.liveness_service node)
-            ()
-        with
-        | Ok () -> true
-        | Error _ ->
-            Sim.Metrics.incr (Sim.Metrics.counter "cluster.probe_failures");
-            false
-      in
+      let probe node = answers_probe ~timeout_us:probe_timeout_us t node in
       let rec loop () =
         Sim.Engine.sleep probe_interval_us;
         let proj = Auxiliary.latest t.aux in

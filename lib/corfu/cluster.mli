@@ -109,7 +109,10 @@ val last_rebuild_scan : t -> int
     If [dead] is no longer in the projection when the operation runs —
     a concurrent recovery (the failure monitor racing a scheduled
     fault action) already replaced it — the call is a no-op and
-    returns the current epoch. *)
+    returns the current epoch. Likewise if the call had to wait for
+    another reconfiguration and [dead] then answers a liveness probe:
+    the suspicion is stale, the replacement is withdrawn (counted in
+    [cluster.replacements_withdrawn]) and the current epoch returned. *)
 val replace_storage_node : ?copy_window:int -> t -> dead:Storage_node.t -> Types.epoch
 
 (** One storage-node recovery, for availability reports. It is

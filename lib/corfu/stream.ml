@@ -190,16 +190,21 @@ let sync_with t ~tail ~ptrs =
     else sync_with_inner t ~tail ~ptrs
   end
 
-let do_sync t =
+let sync t =
   let tail, stream_tails = Client.peek_streams t.cl [ t.sid ] in
   (match stream_tails with
   | [ (_, ptrs) ] -> sync_with t ~tail ~ptrs
   | _ -> assert false);
   tail
 
-let sync t = do_sync t
+let sync_from t off entry =
+  if off >= t.horizon then
+    match header_for t off entry with
+    | Some h -> sync_with t ~tail:(off + 1) ~ptrs:(off :: h.Stream_header.backptrs)
+    | None -> ()
 
-let sync_until t target = if target > t.horizon then ignore (do_sync t)
+let on_entry t off entry = header_for t off entry <> None
+let complete_below t off = t.horizon >= off
 
 let rec readnext t =
   if t.cursor >= t.len then None

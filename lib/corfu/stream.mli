@@ -37,17 +37,31 @@ val append : t -> bytes -> Types.offset
     cost. *)
 val sync : t -> Types.offset
 
-(** [sync_until t horizon] like {!sync} but only guarantees
-    completeness for offsets below [horizon]; used when a consumer
-    needs to reach a known commit point rather than the live tail. *)
-val sync_until : t -> Types.offset -> unit
-
 (** [sync_with t ~tail ~ptrs] performs the backward walk of {!sync}
     using peek data the caller already fetched ([ptrs] is the
     sequencer's last-K list for this stream at the time [tail] was the
     global tail). Lets a runtime hosting many streams refresh them all
     with a single sequencer round trip. *)
 val sync_with : t -> tail:Types.offset -> ptrs:Types.offset list -> unit
+
+(** [sync_from t off entry] is {!sync_with} seeded from [entry], the
+    entry at [off] the caller already holds (typically one it just
+    wrote): the entry's header for this stream lists the stream's last
+    K offsets issued before [off], so the walk a peek taken right after
+    [off] was issued would start makes membership complete below
+    [off + 1] with no sequencer round trip (§5). A no-op when [entry]
+    is not on this stream ({!on_entry}) or membership already reaches
+    past [off]. *)
+val sync_from : t -> Types.offset -> Types.entry -> unit
+
+(** [on_entry t off entry]: [entry], the entry at [off], carries this
+    stream, so {!sync_from} can complete its membership below
+    [off + 1]. *)
+val on_entry : t -> Types.offset -> Types.entry -> bool
+
+(** [complete_below t off]: a sync has made membership complete for
+    every offset below [off]. *)
+val complete_below : t -> Types.offset -> bool
 
 (** [readnext t] returns the next (offset, entry) of the stream below
     the last synced horizon, or [None] when the iterator has consumed

@@ -775,6 +775,85 @@ let test_playback_ignores_unhosted_commits () =
       Alcotest.(check (list (pair string string)))
         "both runtimes agree on the shared bindings" (map_bindings shared_g) (map_bindings shared_p))
 
+(* Sequencer peeks made while [f] runs. *)
+let peeks_during f =
+  let before = sum_counter "seq.peeks" in
+  let r = f () in
+  (r, sum_counter "seq.peeks" - before)
+
+(* A read-write transaction over a map, one key read and written. *)
+let rmw rt m k v =
+  Runtime.begin_tx rt;
+  ignore (Map_obj.get m k);
+  Map_obj.put m k v;
+  Runtime.end_tx rt
+
+let test_end_tx_learns_membership_from_commit () =
+  (* Every hosted stream is on the commit entry: its headers complete
+     their membership below the commit, so end_tx needs no peek and
+     the only one is begin_tx's snapshot. *)
+  with_cluster (fun cluster ->
+      let rt = runtime cluster "app" in
+      let a = Map_obj.attach rt ~oid:1 and b = Map_obj.attach rt ~oid:2 in
+      Map_obj.put a "k" "0";
+      Map_obj.put b "k" "0";
+      let statuses, peeks =
+        peeks_during (fun () ->
+            List.init 5 (fun i ->
+                Runtime.begin_tx rt;
+                ignore (Map_obj.get a "k");
+                ignore (Map_obj.get b "k");
+                Map_obj.put a "k" (string_of_int i);
+                Map_obj.put b "k" (string_of_int i);
+                Runtime.end_tx rt))
+      in
+      List.iter (Alcotest.check check_status "commits" Runtime.Committed) statuses;
+      check_int "one peek per read-write transaction" 5 peeks;
+      Alcotest.(check (option string)) "last write applied" (Some "4") (Map_obj.get a "k");
+      Alcotest.(check (option string)) "on both maps" (Some "4") (Map_obj.get b "k"))
+
+let test_end_tx_peeks_for_stream_off_commit () =
+  (* [rt] also hosts map 2, which its commit does not carry. A peer
+     writes the key the transaction read after begin_tx's snapshot, so
+     the write lies below the commit: end_tx must peek to learn it and
+     abort, instead of validating against a stale view of map 2. *)
+  with_cluster (fun cluster ->
+      let rt = runtime cluster "app" and peer = runtime cluster "peer" in
+      let a = Map_obj.attach rt ~oid:1 and b = Map_obj.attach rt ~oid:2 in
+      let b' = Map_obj.attach peer ~oid:2 in
+      Map_obj.put b "k" "0";
+      Alcotest.check check_status "quiet commit" Runtime.Committed (rmw rt a "x" "0");
+      Runtime.begin_tx rt;
+      ignore (Map_obj.get b "k");
+      Map_obj.put b' "k" "peer";
+      Map_obj.put a "x" "1";
+      let status, peeks = peeks_during (fun () -> Runtime.end_tx rt) in
+      Alcotest.check check_status "the peer's write is seen: abort" Runtime.Aborted status;
+      check_int "end_tx peeked once" 1 peeks;
+      Alcotest.(check (option string)) "peer's write applied" (Some "peer") (Map_obj.get b "k");
+      Alcotest.(check (option string)) "aborted write not applied" (Some "0") (Map_obj.get a "x"))
+
+let test_end_tx_evicted_commit_peeks () =
+  (* The commit entry leaves the client cache between its write and
+     end_tx's sync (dropped the moment the append is acknowledged):
+     with no headers at hand, end_tx falls back to the peek. *)
+  with_cluster (fun cluster ->
+      let rt = runtime cluster "app" in
+      let a = Map_obj.attach rt ~oid:1 in
+      Map_obj.put a "k" "0";
+      let evict = ref false in
+      Sim.Announce.subscribe (function
+        | Sim.Announce.Append_acked { offset; _ } when !evict ->
+            Corfu.Client.cache_drop_below (Runtime.client rt) (offset + 1)
+        | _ -> ());
+      let _, cached_peeks = peeks_during (fun () -> rmw rt a "k" "1") in
+      check_int "cached commit: begin_tx's peek only" 1 cached_peeks;
+      evict := true;
+      let status, peeks = peeks_during (fun () -> rmw rt a "k" "2") in
+      Alcotest.check check_status "commits" Runtime.Committed status;
+      check_int "evicted commit: end_tx peeks too" 2 peeks;
+      Alcotest.(check (option string)) "applied" (Some "2") (Map_obj.get a "k"))
+
 (* One forged crash (a commit with no decision record) after [n]
    unrelated updates below the recorded read version: the entries the
    reconstruction announces it decoded, and the storage reads it cost. *)
@@ -1246,6 +1325,11 @@ let () =
           Alcotest.test_case "playback ignores unhosted commits" `Quick
             test_playback_ignores_unhosted_commits;
           Alcotest.test_case "reconstruction is bounded" `Quick test_reconstruction_bounded;
+          Alcotest.test_case "end_tx: membership from the commit entry" `Quick
+            test_end_tx_learns_membership_from_commit;
+          Alcotest.test_case "end_tx: stream off the commit peeks" `Quick
+            test_end_tx_peeks_for_stream_off_commit;
+          Alcotest.test_case "end_tx: evicted commit peeks" `Quick test_end_tx_evicted_commit_peeks;
           Alcotest.test_case "skip-decision-record converges" `Quick test_skip_decision_record;
         ] );
       ( "checkpoint-gc-directory",

@@ -533,6 +533,44 @@ let test_client_read_resolved_waits_for_slow_writer () =
       | Client.Data e -> check_string "got it" "slow" (payload_str e)
       | _ -> Alcotest.fail "expected data")
 
+let counter_total name =
+  List.fold_left
+    (fun n (c : Sim.Metrics.counter_view) -> if c.c_name = name then n + c.c_value else n)
+    0 (Sim.Metrics.snapshot ()).Sim.Metrics.counters
+
+(* A reader on the writing client waits for the client's own write in
+   flight instead of polling storage, where the offset reads as
+   unwritten until the chain write lands. A write that loses its slot
+   to a fill sends its waiters to storage, where they find the junk. *)
+let test_client_read_shared_waits_for_own_write () =
+  with_cluster (fun cluster ->
+      let c = Cluster.new_client cluster ~name:"app" in
+      let g = Client.reserve c ~streams:[ 1 ] ~count:1 in
+      Sim.Engine.spawn (fun () ->
+          check_int "lands at its grant" 0 (Client.write_granted c g ~index:0 (payload "mine")));
+      Sim.Engine.sleep 1.;
+      let reads0 = counter_total "ssd.reads" in
+      (match Client.read_shared c 0 with
+      | Client.Data e -> check_string "own entry" "mine" (payload_str e)
+      | _ -> Alcotest.fail "expected data");
+      check_int "no storage read" 0 (counter_total "ssd.reads" - reads0);
+      check_bool "served once acknowledged" true (Client.cached c 0 <> None);
+      let g = Client.reserve c ~streams:[ 1 ] ~count:1 in
+      let lost = g.Client.g_base in
+      let filler = Cluster.new_client cluster ~name:"filler" in
+      check_bool "filled before the write" true (Client.fill filler lost = Client.Filled);
+      let landed = ref (-1) in
+      Sim.Engine.spawn (fun () -> landed := Client.write_granted c g ~index:0 (payload "moved"));
+      Sim.Engine.sleep 1.;
+      check_bool "the lost slot reads as junk" true (Client.read_shared c lost = Client.Junk);
+      while !landed < 0 do
+        Sim.Engine.sleep 100.
+      done;
+      check_bool "the payload moved on" true (!landed > lost);
+      match Client.read_shared c !landed with
+      | Client.Data e -> check_string "moved entry" "moved" (payload_str e)
+      | _ -> Alcotest.fail "expected the moved entry")
+
 let test_client_trim_and_prefix_trim () =
   with_cluster (fun cluster ->
       let c = Cluster.new_client cluster ~name:"app" in
@@ -1404,6 +1442,65 @@ let test_recover_appends_before_rebuild () =
       check_string "late grant copied" "data late" (raw spare 0);
       check_string "hole fill copied" "junk" (raw spare 1))
 
+(* A suspicion that goes stale while the replacement waits for the
+   reconfiguration lock is withdrawn. The suspected head holds a torn
+   append a reader has already applied; a sequencer replacement holds
+   the lock until the head is back. Replacing the head then would drop
+   the only copy of that cell and turn it into a hole under the
+   reader, so the replacement must find the head answering and leave
+   the projection alone. *)
+let test_recover_withdrawn_when_suspect_answers () =
+  with_faulty_cluster (fun cluster f ->
+      let w = Cluster.new_client cluster ~name:"writer" in
+      for i = 0 to 9 do
+        ignore (Client.append w ~streams:[ 1 ] (payload (string_of_int i)))
+      done;
+      (* Offset 10 is granted and written on chain 0's head only. *)
+      let g = Client.reserve w ~streams:[ 1 ] ~count:1 in
+      check_int "torn offset" 10 g.Client.g_base;
+      let proj = Auxiliary.latest (Cluster.auxiliary cluster) in
+      let head = (Projection.replica_set proj 10).(0) in
+      let k = (Cluster.params cluster).Sim.Params.backpointer_k in
+      let torn =
+        { Types.headers = Stream_header.encode_block ~k ~current:10 []; payload = payload "torn" }
+      in
+      let agent = Sim.Net.add_host (Cluster.net cluster) "agent" in
+      (match
+         Sim.Net.call ~from:agent (Storage_node.write_service head)
+           {
+             Storage_node.wepoch = 0;
+             woffset = Projection.local_offset proj 10;
+             wcell = Types.Data torn;
+           }
+       with
+      | Types.Write_ok -> ()
+      | r -> Alcotest.failf "head write: %a" Types.pp_write_result r);
+      let reader = Cluster.new_client cluster ~name:"reader" in
+      let rec read_torn tries =
+        match Client.read reader 10 with
+        | Client.Data e -> check_string "reader applied the torn write" "torn" (payload_str e)
+        | _ when tries > 0 -> read_torn (tries - 1)
+        | _ -> Alcotest.fail "no read reached the head"
+      in
+      read_torn 32;
+      Sim.Fault.crash f (Storage_node.name head);
+      (* The sequencer replacement seals every member, retrying the
+         crashed head until it answers: it holds the lock until then. *)
+      Sim.Engine.spawn (fun () -> ignore (Cluster.replace_sequencer cluster : Types.epoch));
+      Sim.Engine.spawn (fun () ->
+          Sim.Engine.sleep 30_000.;
+          Sim.Fault.restart f (Storage_node.name head));
+      Sim.Engine.sleep 1_000.;
+      let epoch = Cluster.replace_storage_node cluster ~dead:head in
+      check_int "only the sequencer replacement's epoch" 1 epoch;
+      check_int "no later epoch installed" 1
+        (Auxiliary.latest (Cluster.auxiliary cluster)).Projection.epoch;
+      check_int "no recovery recorded" 0 (List.length (Cluster.recoveries cluster));
+      check_int "one withdrawal counted" 1 (counter_total "cluster.replacements_withdrawn");
+      match Client.read_resolved reader 10 with
+      | Client.Data e -> check_string "torn write still readable" "torn" (payload_str e)
+      | _ -> Alcotest.fail "the torn write became a hole")
+
 let test_recover_monitor_detects () =
   with_faulty_cluster (fun cluster f ->
       Cluster.start_failure_monitor cluster;
@@ -1758,6 +1855,8 @@ let () =
             test_client_fill_completes_torn_append;
           Alcotest.test_case "read_resolved waits" `Quick
             test_client_read_resolved_waits_for_slow_writer;
+          Alcotest.test_case "read_shared waits for own write" `Quick
+            test_client_read_shared_waits_for_own_write;
           Alcotest.test_case "trim and prefix trim" `Quick test_client_trim_and_prefix_trim;
         ] );
       ( "stream",
@@ -1814,6 +1913,8 @@ let () =
           Alcotest.test_case "replace storage node" `Quick test_recover_replace_storage_node;
           Alcotest.test_case "appends resume before the rebuild" `Quick
             test_recover_appends_before_rebuild;
+          Alcotest.test_case "stale suspicion is withdrawn" `Quick
+            test_recover_withdrawn_when_suspect_answers;
           Alcotest.test_case "monitor detects and replaces" `Quick test_recover_monitor_detects;
           Alcotest.test_case "ssd failure triggers replacement" `Quick test_recover_ssd_failure;
           Alcotest.test_case "busy ssd is not replaced" `Quick test_busy_ssd_not_replaced;
