@@ -94,6 +94,10 @@ type t = {
   aborts_c : Sim.Metrics.counter;
   conflicts_c : Sim.Metrics.counter;
   watchdog_c : Sim.Metrics.counter;
+  lock_wait_c : Sim.Metrics.counter;  (* µs queued for [play_lock] *)
+  lock_hold_c : Sim.Metrics.counter;  (* µs holding it *)
+  below_tail_c : Sim.Metrics.counter;
+      (* [begin_tx] snapshots cut short of the tail by an own write *)
   apply_h : Sim.Metrics.histogram;  (* one playback sweep *)
   tx_h : Sim.Metrics.histogram;  (* begin_tx .. end_tx *)
 }
@@ -135,6 +139,9 @@ let create ?batch_size ?linger_us ?(decision_timeout_us = 50_000.) cl =
     aborts_c = Sim.Metrics.counter ~host:host_name "runtime.aborts";
     conflicts_c = Sim.Metrics.counter ~host:host_name "runtime.version_conflicts";
     watchdog_c = Sim.Metrics.counter ~host:host_name "tango.decision_watchdog";
+    lock_wait_c = Sim.Metrics.counter ~host:host_name "runtime.play_lock_wait_us";
+    lock_hold_c = Sim.Metrics.counter ~host:host_name "runtime.play_lock_hold_us";
+    below_tail_c = Sim.Metrics.counter ~host:host_name "runtime.snapshots_below_tail";
     apply_h = Sim.Metrics.histogram ~host:host_name "playback.apply_us";
     tx_h = Sim.Metrics.histogram ~host:host_name "tx.duration_us";
   }
@@ -273,6 +280,21 @@ let announce_decided t pos committed =
 let announce_applied t pos =
   if Sim.Announce.active () then
     Sim.Announce.emit (Sim.Announce.Commit_applied { client = announce_host t; pos })
+
+(* Playback and decisions mutate the views under [play_lock]. The
+   counters take whole microseconds, rounded; the hold start is kept
+   as an int so the [finally] closure boxes no float. *)
+let with_play_lock t f =
+  let t0 = Sim.Engine.now () in
+  Sim.Resource.acquire t.play_lock;
+  let t1 = Sim.Engine.now () in
+  Sim.Metrics.add t.lock_wait_c (Float.to_int (t1 -. t0 +. 0.5));
+  let held_from = Float.to_int (t1 +. 0.5) in
+  Fun.protect
+    ~finally:(fun () ->
+      Sim.Metrics.add t.lock_hold_c (Float.to_int (Sim.Engine.now () +. 0.5) - held_from);
+      Sim.Resource.release t.play_lock)
+    f
 
 (* Forward reference: [eager_outcome] needs the resolution machinery's
    types but is more readable next to [handle_commit]. *)
@@ -479,10 +501,7 @@ and spawn_decision_watchdog t cpos c =
       if Hashtbl.mem t.undecided cpos then !catch_up_ref t;
       if Hashtbl.mem t.undecided cpos then begin
         let committed = reconstruct_after_timeout t cpos c in
-        Sim.Resource.acquire t.play_lock;
-        Fun.protect
-          ~finally:(fun () -> Sim.Resource.release t.play_lock)
-          (fun () -> resolve t cpos committed);
+        with_play_lock t (fun () -> resolve t cpos committed);
         let streams =
           List.sort_uniq Int.compare (List.map (fun (u : Record.update) -> u.Record.u_oid) c.c_writes)
         in
@@ -758,10 +777,10 @@ let play_merged t ~upto =
     let best =
       List.fold_left
         (fun acc ho ->
-          match Corfu.Stream.peek_next_offset ho.stream with
-          | Some off when off < upto -> (
+          match Corfu.Stream.peek_next_offset ho.stream ~bound:upto with
+          | Some off -> (
               match acc with Some (boff, _) when boff <= off -> acc | _ -> Some (off, ho))
-          | Some _ | None -> acc)
+          | None -> acc)
         None hos
     in
     match best with
@@ -773,10 +792,6 @@ let play_merged t ~upto =
         loop ()
   in
   loop ()
-
-let with_play_lock t f =
-  Sim.Resource.acquire t.play_lock;
-  Fun.protect ~finally:(fun () -> Sim.Resource.release t.play_lock) f
 
 (* One sequencer round trip refreshes membership of every hosted
    stream; returns the global tail. *)
@@ -966,9 +981,16 @@ let begin_tx t =
   let fid = Sim.Engine.fiber_id () in
   if Hashtbl.mem t.txs fid then raise Nested_transaction;
   (* Refresh the local snapshot so reads record current versions;
-     accessors inside the transaction then stay purely local (§3.2). *)
+     accessors inside the transaction then stay purely local (§3.2).
+     The snapshot stops below this client's own writes still in
+     flight, so it never waits for them. This client's acknowledged
+     transactions are applied already, and validation at the commit
+     position makes an older snapshot safe: a read it left stale
+     aborts the transaction, it never commits. *)
   let tail = sync_all t in
-  play_to t tail;
+  let bound = Int.min tail (Corfu.Client.lowest_writing t.cl) in
+  if bound < tail then Sim.Metrics.incr t.below_tail_c;
+  play_to t bound;
   Hashtbl.replace t.txs fid
     { tx_reads = []; tx_writes = []; tx_remote_reads = false; tx_t0 = Sim.Engine.now () };
   if Sim.Announce.active () then

@@ -8,7 +8,10 @@ type t = {
   mutable proj : Projection.t;
   rng : Sim.Rng.t;
   cache : (Types.offset, Types.entry) Hashtbl.t;
-  inflight : (Types.offset, read_ivar) Hashtbl.t;
+  inflight : (Types.offset, read_ivar) Hashtbl.t;  (* reads in flight *)
+  writing : (Types.offset, read_ivar) Hashtbl.t;
+      (* offsets this client holds a grant for and has not settled;
+         their readers wait on the ivar for the write *)
   probe_tails : (Types.stream_id, Types.offset list) Hashtbl.t;
       (* this client's own per-stream append history, used to build
          backpointers when appending without the sequencer *)
@@ -57,6 +60,7 @@ let create ~host ~aux ~params =
     rng = Sim.Rng.split (Sim.Engine.rng ());
     cache = Hashtbl.create 4096;
     inflight = Hashtbl.create 64;
+    writing = Hashtbl.create 16;
     probe_tails = Hashtbl.create 16;
     cache_floor = 0;
     cache_high = -1;
@@ -217,6 +221,13 @@ let note_own_append t ~streams off =
       Hashtbl.replace t.probe_tails sid (take t.p.backpointer_k (off :: prev)))
     streams
 
+(* From grant until its write decides, an offset is this client's own
+   write in flight: its readers here wait in [writing] for the write
+   ({!read_shared}) instead of polling storage, where the offset reads
+   as unwritten until the chain write lands. *)
+let note_granted t off =
+  if not (Hashtbl.mem t.writing off) then Hashtbl.replace t.writing off (Sim.Ivar.create ())
+
 let rec append_inner t ~streams payload =
   let resp =
     seq_grant t (fun () ->
@@ -230,6 +241,7 @@ let rec append_inner t ~streams payload =
       refresh t;
       append_inner t ~streams payload
   | Sequencer.Seq_ok { base = off; stream_tails } ->
+      note_granted t off;
       let headers =
         Stream_header.encode_block ~k:t.p.backpointer_k ~current:off
           (List.map
@@ -250,23 +262,11 @@ let rec append_inner t ~streams payload =
    payload to a fresh offset; retrying with a fresh offset on seal, as
    we used to, could commit the entry twice. *)
 and append_at t ~seq ~streams ~payload off entry =
-  (* Until the write decides, this client's own readers of [off] wait
-     for it in the shared-read table ({!read_shared}) instead of
-     polling storage, where the offset reads as unwritten until the
-     chain write lands and the poll's backoff overshoots it. A lost
-     slot hands them [Unwritten]: read it yourself. *)
-  let own =
-    if Hashtbl.mem t.inflight off then None
-    else begin
-      let iv = Sim.Ivar.create () in
-      Hashtbl.replace t.inflight off iv;
-      Some iv
-    end
-  in
+  (* A lost slot hands the waiters [Unwritten]: read it yourself. *)
   let settle outcome =
-    match own with
+    match Hashtbl.find_opt t.writing off with
     | Some iv ->
-        Hashtbl.remove t.inflight off;
+        Hashtbl.remove t.writing off;
         Sim.Ivar.fill iv outcome
     | None -> ()
   in
@@ -362,7 +362,10 @@ let rec reserve_into t g ~streams ~count =
       g.g_count <- count;
       g.g_streams <- streams;
       g.g_tails <- stream_tails;
-      g.g_seq <- t.proj.Projection.sequencer
+      g.g_seq <- t.proj.Projection.sequencer;
+      for off = base to base + count - 1 do
+        note_granted t off
+      done
 
 let reserve t ~streams ~count =
   let g = blank_grant t in
@@ -672,36 +675,44 @@ let read_resolved t off =
 
 (* Coalesced fetch: one outstanding read per offset, shared by all
    waiters, and none at all while this client writes the offset
-   ({!append_at}); Data results are cached for the streaming layer. *)
+   ({!note_granted}); Data results are cached for the streaming
+   layer. *)
 let rec read_shared t off =
   match Hashtbl.find_opt t.cache off with
   | Some e ->
       Sim.Metrics.incr t.cache_hits_c;
       Data e
   | None -> (
-      match Hashtbl.find_opt t.inflight off with
+      match Hashtbl.find_opt t.writing off with
       | Some iv -> (
           match Sim.Ivar.read iv with
           | Unwritten -> (* our own write lost the slot *) read_shared t off
           | outcome -> outcome)
-      | None ->
-          Sim.Metrics.incr t.cache_misses_c;
-          let iv = Sim.Ivar.create () in
-          Hashtbl.replace t.inflight off iv;
-          let outcome = Sim.Metrics.time t.read_h (fun () -> read_resolved t off) in
-          (match outcome with
-          | Data e -> cache_insert t off e
-          | Junk | Trimmed | Unwritten -> ());
-          Hashtbl.remove t.inflight off;
-          Sim.Ivar.fill iv outcome;
-          outcome)
+      | None -> (
+          match Hashtbl.find_opt t.inflight off with
+          | Some iv -> Sim.Ivar.read iv
+          | None ->
+              Sim.Metrics.incr t.cache_misses_c;
+              let iv = Sim.Ivar.create () in
+              Hashtbl.replace t.inflight off iv;
+              let outcome = Sim.Metrics.time t.read_h (fun () -> read_resolved t off) in
+              (match outcome with
+              | Data e -> cache_insert t off e
+              | Junk | Trimmed | Unwritten -> ());
+              Hashtbl.remove t.inflight off;
+              Sim.Ivar.fill iv outcome;
+              outcome))
 
 let prefetch t off =
-  if not (Hashtbl.mem t.cache off) && not (Hashtbl.mem t.inflight off) then begin
+  if
+    not (Hashtbl.mem t.cache off || Hashtbl.mem t.writing off || Hashtbl.mem t.inflight off)
+  then begin
     let span_parent = Sim.Span.current () in
     Sim.Engine.spawn (fun () ->
         Sim.Span.with_parent span_parent (fun () -> ignore (read_shared t off)))
   end
+
+let lowest_writing t = Hashtbl.fold (fun off _ low -> Int.min off low) t.writing max_int
 
 let trim t off =
   if Projection.locate t.proj off = Projection.Retired then ()

@@ -123,9 +123,10 @@ val read_resolved : t -> Types.offset -> read_outcome
 (** [read_shared t off] is {!read_resolved} with request coalescing
     and caching: concurrent callers for the same offset share one
     fetch, and [Data] results land in the entry cache. An offset this
-    client is itself writing is not fetched: the callers wait for the
-    write and get its entry once the chain acknowledges it (or fetch
-    after all if the write loses the slot). This is the
+    client is itself writing (see {!lowest_writing}) is not fetched:
+    the callers wait for the write and get its entry once the chain
+    acknowledges it (or fetch after all if the write loses the slot).
+    This is the
     playback fetch path — streams prefetch through it so log reads
     pipeline instead of paying one round trip per entry. *)
 val read_shared : t -> Types.offset -> read_outcome
@@ -133,6 +134,12 @@ val read_shared : t -> Types.offset -> read_outcome
 (** [prefetch t off] starts a background {!read_shared} for [off] if
     neither cached nor already in flight. *)
 val prefetch : t -> Types.offset -> unit
+
+(** The lowest offset this client is writing, or [max_int] when it
+    writes none. An offset counts from the sequencer's grant, before
+    its chain write starts, until the write lands or moves the payload
+    to a fresh offset. *)
+val lowest_writing : t -> Types.offset
 
 (** [check t] is the fast check: one sequencer round trip, returns the
     tail (exclusive upper bound of allocated offsets). *)

@@ -31,13 +31,9 @@ let attach ?(from = 0) cl sid =
     cache_misses = 0;
   }
 
-let id t = t.sid
-let client t = t.cl
 let append t payload = Client.append t.cl ~streams:[ t.sid ] payload
 let pending t = t.len - t.cursor
-let discovered t = t.len
 let sync_reads t = t.sync_read_count
-let prefetch_window t = t.prefetch_window
 let cache_hits t = t.cache_hits
 let cache_misses t = t.cache_misses
 let has_trim_gap t = t.trim_gap
@@ -126,11 +122,14 @@ let sync_with_inner t ~tail ~ptrs =
     in
     let rec walk ptrs =
       (* [ptrs]: member candidates, most recent first. Register all of
-         them, then read only the oldest to continue the chain. *)
+         them, then read only the oldest to continue the chain — unless
+         the list already reaches known history: a last-K list holds
+         consecutive members, so it then names every new one. *)
       let fresh = List.filter note ptrs in
-      match List.rev fresh with
-      | [] -> ()
-      | oldest :: _ -> follow oldest
+      if not (List.exists (fun p -> p <= floor) ptrs) then
+        match List.rev fresh with
+        | [] -> ()
+        | oldest :: _ -> follow oldest
     and follow off =
       match resolve t off with
       | Client.Data e -> (
@@ -225,8 +224,8 @@ let rec readnext t =
     | Client.Unwritten -> assert false
   end
 
-let rec peek_next_offset t =
-  if t.cursor >= t.len then None
+let rec peek_next_offset t ~bound =
+  if t.cursor >= t.len || t.offsets.(t.cursor) >= bound then None
   else begin
     let off = t.offsets.(t.cursor) in
     prefetch_from t t.cursor;
@@ -234,10 +233,10 @@ let rec peek_next_offset t =
     | Client.Data _ -> Some off
     | Client.Junk ->
         t.cursor <- t.cursor + 1;
-        peek_next_offset t
+        peek_next_offset t ~bound
     | Client.Trimmed ->
         t.trim_gap <- true;
         t.cursor <- t.cursor + 1;
-        peek_next_offset t
+        peek_next_offset t ~bound
     | Client.Unwritten -> assert false
   end

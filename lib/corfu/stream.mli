@@ -23,9 +23,6 @@ type t
     history alone. *)
 val attach : ?from:Types.offset -> Client.t -> Types.stream_id -> t
 
-val id : t -> Types.stream_id
-val client : t -> Client.t
-
 (** [append t payload] appends one entry to this stream only;
     convenience over {!Client.append}. *)
 val append : t -> bytes -> Types.offset
@@ -68,23 +65,18 @@ val complete_below : t -> Types.offset -> bool
     everything discovered so far. Junk entries are skipped. *)
 val readnext : t -> (Types.offset * Types.entry) option
 
-(** [peek_next_offset t] is the offset [readnext] would deliver. *)
-val peek_next_offset : t -> Types.offset option
+(** [peek_next_offset t ~bound] is the offset [readnext] would
+    deliver, if it lies below [bound]. A member at or past [bound] is
+    never resolved, so a caller playing to [bound] does not wait for a
+    write beyond it. *)
+val peek_next_offset : t -> bound:Types.offset -> Types.offset option
 
 (** Number of known entries not yet delivered. *)
 val pending : t -> int
 
-(** Total entries discovered for this stream since attach. *)
-val discovered : t -> int
-
 (** Cumulative random reads issued by sync walks (for the backpointer
     ablation: ≈ N/K plus junk-scan penalties). *)
 val sync_reads : t -> int
-
-(** Current playback prefetch depth. Starts at
-    {!Sim.Params.t.prefetch_min}, doubles on a cache miss up to
-    [prefetch_max], and halves back after a long run of hits. *)
-val prefetch_window : t -> int
 
 (** Entry lookups served from the client cache. *)
 val cache_hits : t -> int

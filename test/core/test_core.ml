@@ -854,6 +854,52 @@ let test_end_tx_evicted_commit_peeks () =
       check_int "evicted commit: end_tx peeks too" 2 peeks;
       Alcotest.(check (option string)) "applied" (Some "2") (Map_obj.get a "k"))
 
+(* begin_tx snapshots below this client's own commit T1 while T1's
+   write is in flight, so it does not wait for the write. Validation at
+   the commit position keeps the older snapshot safe: a transaction
+   that read a key T1 writes aborts, one that read other keys commits,
+   and one begun after T1's end_tx returned sees T1's write. *)
+let test_begin_tx_snapshots_below_own_write () =
+  with_cluster (fun cluster ->
+      let rt = runtime cluster "app" in
+      let cl = Runtime.client rt in
+      let m = Map_obj.attach rt ~oid:1 in
+      Map_obj.put m "k" "0";
+      Map_obj.put m "j" "0";
+      ignore (Map_obj.size m);
+      let t1_done = ref false in
+      Sim.Engine.spawn (fun () ->
+          Alcotest.check check_status "T1 commits" Runtime.Committed (rmw rt m "k" "t1");
+          t1_done := true);
+      while Corfu.Client.lowest_writing cl = max_int do
+        Sim.Engine.sleep 1.
+      done;
+      let t1_off = Corfu.Client.lowest_writing cl in
+      let began = ref 0 in
+      let tx_during read_key write_key status_ref =
+        Sim.Engine.spawn (fun () ->
+            Runtime.begin_tx rt;
+            if Corfu.Client.lowest_writing cl = t1_off then incr began;
+            ignore (Map_obj.get m read_key);
+            Map_obj.put m write_key "late";
+            status_ref := Some (Runtime.end_tx rt))
+      in
+      let same_key = ref None and other_key = ref None in
+      tx_during "k" "k" same_key;
+      tx_during "j" "j" other_key;
+      while not !t1_done || !same_key = None || !other_key = None do
+        Sim.Engine.sleep 10.
+      done;
+      check_int "both began while T1's write was in flight" 2 !began;
+      Alcotest.(check (option check_status))
+        "read T1's key: aborts" (Some Runtime.Aborted) !same_key;
+      Alcotest.(check (option check_status))
+        "read another key: commits" (Some Runtime.Committed) !other_key;
+      Runtime.begin_tx rt;
+      Alcotest.(check (option string)) "begun after T1: sees its write" (Some "t1")
+        (Map_obj.get m "k");
+      Runtime.abort_tx rt)
+
 (* One forged crash (a commit with no decision record) after [n]
    unrelated updates below the recorded read version: the entries the
    reconstruction announces it decoded, and the storage reads it cost. *)
@@ -1330,6 +1376,8 @@ let () =
           Alcotest.test_case "end_tx: stream off the commit peeks" `Quick
             test_end_tx_peeks_for_stream_off_commit;
           Alcotest.test_case "end_tx: evicted commit peeks" `Quick test_end_tx_evicted_commit_peeks;
+          Alcotest.test_case "begin_tx snapshots below own write" `Quick
+            test_begin_tx_snapshots_below_own_write;
           Alcotest.test_case "skip-decision-record converges" `Quick test_skip_decision_record;
         ] );
       ( "checkpoint-gc-directory",

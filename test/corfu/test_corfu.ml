@@ -571,6 +571,31 @@ let test_client_read_shared_waits_for_own_write () =
       | Client.Data e -> check_string "moved entry" "moved" (payload_str e)
       | _ -> Alcotest.fail "expected the moved entry")
 
+(* An offset counts as this client's write in flight from its grant,
+   before the chain write starts: a reader here waits for the write
+   rather than polling storage. *)
+let test_client_granted_offset_is_in_flight () =
+  with_cluster (fun cluster ->
+      let c = Cluster.new_client cluster ~name:"app" in
+      check_int "nothing in flight" max_int (Client.lowest_writing c);
+      let g = Client.reserve c ~streams:[ 1 ] ~count:2 in
+      let base = g.Client.g_base in
+      check_int "granted, unwritten: in flight" base (Client.lowest_writing c);
+      let reads0 = counter_total "ssd.reads" in
+      let got = ref None in
+      Sim.Engine.spawn (fun () -> got := Some (Client.read_shared c (base + 1)));
+      Sim.Engine.sleep 5_000.;
+      check_bool "the reader waits for the write" true (!got = None);
+      ignore (Client.write_granted c g ~index:1 (payload "second"));
+      Sim.Engine.sleep 1.;
+      (match !got with
+      | Some (Client.Data e) -> check_string "the written entry" "second" (payload_str e)
+      | _ -> Alcotest.fail "expected the reader to get the write");
+      check_int "no storage read" 0 (counter_total "ssd.reads" - reads0);
+      check_int "the unwritten offset stays lowest" base (Client.lowest_writing c);
+      ignore (Client.write_granted c g ~index:0 (payload "first"));
+      check_int "nothing left in flight" max_int (Client.lowest_writing c))
+
 let test_client_trim_and_prefix_trim () =
   with_cluster (fun cluster ->
       let c = Cluster.new_client cluster ~name:"app" in
@@ -693,6 +718,52 @@ let test_stream_sync_reads_stride_k () =
         true
         (reads <= (n / 4) + 2);
       check_int "membership complete" n (Stream.pending sr))
+
+(* Once the sequencer's last-K list reaches a member the reader already
+   knows, it names every new member: the sync reads nothing. *)
+let test_stream_sync_stops_at_known_history () =
+  with_cluster (fun cluster ->
+      let w = Cluster.new_client cluster ~name:"writer" in
+      let sw = Stream.attach w 3 in
+      for i = 0 to 7 do
+        ignore (Stream.append sw (payload (string_of_int i)))
+      done;
+      let r = Cluster.new_client cluster ~name:"reader" in
+      let sr = Stream.attach r 3 in
+      ignore (Stream.sync sr);
+      check_int "first batch" 8 (List.length (drain sr));
+      ignore (Stream.append sw (payload "8"));
+      ignore (Stream.append sw (payload "9"));
+      let reads = Stream.sync_reads sr in
+      ignore (Stream.sync sr);
+      check_int "no read: the pointers reach known history" reads (Stream.sync_reads sr);
+      Alcotest.(check (list string)) "both new members" [ "8"; "9" ] (List.map snd (drain sr)))
+
+(* Playing to a bound never resolves a member at or past it, so a bound
+   just below this client's own write in flight does not wait for the
+   write; a bound past it does. *)
+let test_stream_bound_skips_own_write_in_flight () =
+  with_cluster (fun cluster ->
+      let c = Cluster.new_client cluster ~name:"app" in
+      let s = Stream.attach c 1 in
+      ignore (Stream.append s (payload "a"));
+      ignore (Stream.append s (payload "b"));
+      let g = Client.reserve c ~streams:[ 1 ] ~count:1 in
+      let mine = g.Client.g_base in
+      ignore (Stream.sync s);
+      let first = Option.map fst (Stream.readnext s) in
+      let second = Option.map fst (Stream.readnext s) in
+      Alcotest.(check (list (option int))) "the written members" [ Some 0; Some 1 ] [ first; second ];
+      let t0 = Sim.Engine.now () in
+      check_bool "nothing below the bound" true (Stream.peek_next_offset s ~bound:mine = None);
+      check_bool "returned without waiting" true (Sim.Engine.now () = t0);
+      check_int "the write is still in flight" mine (Client.lowest_writing c);
+      Sim.Engine.spawn (fun () ->
+          Sim.Engine.sleep 5_000.;
+          ignore (Client.write_granted c g ~index:0 (payload "mine")));
+      check_bool "past the bound: waits for the write" true
+        (Stream.peek_next_offset s ~bound:(mine + 1) = Some mine);
+      check_bool "returned once the write landed" true (Sim.Engine.now () >= t0 +. 5_000.))
 
 let test_append_range_visible_in_order () =
   with_cluster (fun cluster ->
@@ -1857,6 +1928,8 @@ let () =
             test_client_read_resolved_waits_for_slow_writer;
           Alcotest.test_case "read_shared waits for own write" `Quick
             test_client_read_shared_waits_for_own_write;
+          Alcotest.test_case "granted offset is in flight" `Quick
+            test_client_granted_offset_is_in_flight;
           Alcotest.test_case "trim and prefix trim" `Quick test_client_trim_and_prefix_trim;
         ] );
       ( "stream",
@@ -1868,6 +1941,10 @@ let () =
           Alcotest.test_case "incremental sync" `Quick test_stream_incremental_sync;
           Alcotest.test_case "reader on another client" `Quick test_stream_reader_on_other_client;
           Alcotest.test_case "sync strides K" `Quick test_stream_sync_reads_stride_k;
+          Alcotest.test_case "sync stops at known history" `Quick
+            test_stream_sync_stops_at_known_history;
+          Alcotest.test_case "bound skips own write in flight" `Quick
+            test_stream_bound_skips_own_write_in_flight;
           Alcotest.test_case "append_range visible in order" `Quick
             test_append_range_visible_in_order;
           Alcotest.test_case "append_range chains stay strided" `Quick
