@@ -11,6 +11,8 @@ type t = {
   core : int Sim.Ivar.t Batch_core.t;  (* cell data = the waiter's position ivar *)
   mutable generation : int;  (* bumped on every seal; guards linger timers *)
   mutable drainer_busy : bool;
+  mutable granting : bool;  (* the drainer is waiting on a sequencer grant *)
+  mutable held : bool;  (* the forming batch's linger expired mid-grant *)
   mutable grant_pool : grant_slot list;
   mutable entries : int;
   mutable records : int;
@@ -19,6 +21,9 @@ type t = {
   mutable grants : int;
   mutable granted_entries : int;
   grants_c : Sim.Metrics.counter;
+  seals_full_c : Sim.Metrics.counter;
+  seals_linger_c : Sim.Metrics.counter;
+  seals_held_c : Sim.Metrics.counter;
   records_c : Sim.Metrics.counter;
   entries_c : Sim.Metrics.counter;
   depth_g : Sim.Metrics.gauge;  (* sealed-batch queue depth *)
@@ -77,6 +82,8 @@ let create ~client ~batch_size ?(linger_us = 30.) ?append_window () =
     core = Batch_core.create ~cap:batch_size ~dummy:(Sim.Ivar.create ());
     generation = 0;
     drainer_busy = false;
+    granting = false;
+    held = false;
     grant_pool = [];
     entries = 0;
     records = 0;
@@ -85,6 +92,9 @@ let create ~client ~batch_size ?(linger_us = 30.) ?append_window () =
     grants = 0;
     granted_entries = 0;
     grants_c = Sim.Metrics.counter ~host:hname "batcher.grants";
+    seals_full_c = Sim.Metrics.counter ~host:hname "batcher.seals_full";
+    seals_linger_c = Sim.Metrics.counter ~host:hname "batcher.seals_linger";
+    seals_held_c = Sim.Metrics.counter ~host:hname "batcher.seals_held";
     records_c = Sim.Metrics.counter ~host:hname "batcher.records";
     entries_c = Sim.Metrics.counter ~host:hname "batcher.entries";
     depth_g = Sim.Metrics.gauge ~host:hname "batcher.sealed_depth";
@@ -105,20 +115,37 @@ let grant_take t =
 
 let grant_put t g = t.grant_pool <- g :: t.grant_pool
 
+(* Seal the forming batch (non-empty) onto the sealed queue. *)
+let seal t =
+  t.generation <- t.generation + 1;
+  t.held <- false;
+  Batch_core.seal t.core;
+  seal_push t (Sim.Engine.now ());
+  Sim.Metrics.set_gauge t.depth_g (float_of_int (Batch_core.queued t.core))
+
 (* The drainer is the only fiber talking to the sequencer, so landed
    offsets are monotone in seal order: positions handed to waiters are
    consistent with log order. Chain writes for the grant overlap —
    each entry gets its own fiber, gated by the window resource. The
    loop reuses one grant record per group ({!Client.reserve_into});
    the grant recycles only after its last write fiber drops its
-   reference, so concurrent [write_granted]s never see a refill. *)
+   reference, so concurrent [write_granted]s never see a refill.
+   A batch held past its linger (see [submit]) is sealed once the
+   sealed queue runs dry, so the drainer never idles while one is
+   held. *)
 let rec drain t =
+  if Batch_core.queued t.core = 0 && t.held then begin
+    seal t;
+    Sim.Metrics.incr t.seals_held_c
+  end;
   if Batch_core.queued t.core = 0 then t.drainer_busy <- false
   else begin
     let count = Batch_core.group t.core ~max_run:t.append_window in
     let streams = Batch_core.front_streams t.core in
     let gs = grant_take t in
+    t.granting <- true;
     Corfu.Client.reserve_into t.client gs.gr_grant ~streams ~count;
+    t.granting <- false;
     gs.gr_refs <- count;
     t.grants <- t.grants + 1;
     t.granted_entries <- t.granted_entries + count;
@@ -156,13 +183,8 @@ let kick t =
   end
 
 let flush t =
-  if Batch_core.forming_len t.core > 0 then begin
-    t.generation <- t.generation + 1;
-    Batch_core.seal t.core;
-    seal_push t (Sim.Engine.now ());
-    Sim.Metrics.set_gauge t.depth_g (float_of_int (Batch_core.queued t.core));
-    kick t
-  end
+  seal t;
+  kick t
 
 let submit t ~streams record =
   if streams = [] then invalid_arg "Batcher.submit: no target streams";
@@ -171,13 +193,25 @@ let submit t ~streams record =
   let full = Batch_core.submit t.core record streams pos_iv in
   t.records <- t.records + 1;
   Sim.Metrics.incr t.records_c;
-  if full then flush t
+  if full then begin
+    flush t;
+    Sim.Metrics.incr t.seals_full_c
+  end
   else if was_empty then begin
-    (* First record of a fresh batch arms the linger timer. *)
+    (* First record of a fresh batch arms the linger timer. An expired
+       linger holds the batch open while the grant that would carry it
+       is in flight and the window has room for it: the drainer seals
+       it when it loops. With the window full the grant is not what
+       delays the batch, so it seals now. *)
     let generation = t.generation in
     Sim.Engine.spawn (fun () ->
         Sim.Engine.sleep t.linger_us;
-        if t.generation = generation then flush t)
+        if t.generation = generation then
+          if t.granting && t.inflight < t.append_window then t.held <- true
+          else begin
+            flush t;
+            Sim.Metrics.incr t.seals_linger_c
+          end)
   end;
   Sim.Ivar.read pos_iv
 

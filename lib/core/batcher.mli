@@ -7,6 +7,15 @@
     linger timer bounds the latency of partial batches under light
     load.
 
+    Group commit: when a partial batch's linger expires while the
+    drainer is waiting on a sequencer grant and the append window has
+    room, the batch is held open rather than sealed, and the drainer
+    seals it once the grant returns and nothing sealed is queued
+    ahead of it. The batch would wait out that round trip anyway;
+    meanwhile it gathers more records. With the window full, the
+    grant is not what holds the batch back, so it is sealed at its
+    linger as usual. A held batch that fills is sealed at once.
+
     Sealed batches drain through a single fiber that reserves offsets
     from the sequencer in {e range grants} (one RPC for a run of
     batches on the same stream set) and spawns one chain-write fiber
@@ -19,9 +28,13 @@ type t
 
 (** [create ~client ~batch_size ?linger_us ?append_window ()] builds a
     batcher appending through [client]. [linger_us] (default 30) is
-    how long a partial batch may wait for company; [append_window]
-    (default: the client's {!Sim.Params.t.append_window}) caps entries
-    in flight. *)
+    how long a partial batch waits for company at least; it waits
+    longer only while a grant is in flight and fewer than
+    [append_window] entries are (see above). [append_window] (default:
+    the client's {!Sim.Params.t.append_window}) caps entries in
+    flight. The batcher's host counts how each batch was sealed in
+    [batcher.seals_full], [batcher.seals_linger] and
+    [batcher.seals_held]. *)
 val create :
   client:Corfu.Client.t -> batch_size:int -> ?linger_us:float -> ?append_window:int -> unit -> t
 

@@ -228,6 +228,71 @@ let test_batcher_linger_flushes_partial () =
       check_int "one entry" 1 (Batcher.entries_appended b);
       check_bool "waited for linger" true (Sim.Engine.now () >= 50.))
 
+(* The batcher's counters on its client's host. *)
+let seals kind = Sim.Metrics.counter_value (Sim.Metrics.counter ~host:"app" ("batcher.seals_" ^ kind))
+
+(* Submit record [i] at the [i]th of [times]; its position lands in
+   the returned array. *)
+let submit_at b times =
+  let pos = Array.make (List.length times) (-1) in
+  List.iteri
+    (fun i at ->
+      Sim.Engine.spawn (fun () ->
+          Sim.Engine.sleep at;
+          pos.(i) <-
+            Batcher.submit b ~streams:[ 1 ]
+              (Record.Update { Record.u_oid = 1; u_key = None; u_data = Reg.encode i })))
+    times;
+  pos
+
+let test_batcher_held_batch_joins_grant () =
+  (* A slow sequencer edge keeps the first batch's grant in flight for
+     ~300 µs. The second batch's linger expires mid-grant with the
+     window empty, so it is held open and the third record joins it:
+     two entries, not three. *)
+  with_cluster (fun cluster ->
+      let f = Sim.Fault.create () in
+      Sim.Net.install_fault (Corfu.Cluster.net cluster) f;
+      Sim.Fault.degrade f ~src:"app" ~dst:"sequencer-0" ~delay_us:200. ();
+      let cl = Corfu.Cluster.new_client cluster ~name:"app" in
+      let b = Batcher.create ~client:cl ~batch_size:4 ~linger_us:30. () in
+      let pos = submit_at b [ 0.; 40.; 100. ] in
+      Sim.Engine.sleep 10_000.;
+      check_bool "all landed" true (Array.for_all (fun p -> p >= 0) pos);
+      check_bool "r1 alone" true (Record.pos_offset pos.(0) <> Record.pos_offset pos.(1));
+      check_int "r2 and r3 share an entry" (Record.pos_offset pos.(1)) (Record.pos_offset pos.(2));
+      check_int "two entries" 2 (Batcher.entries_appended b);
+      check_int "sealed at linger" 1 (seals "linger");
+      check_int "sealed by the drainer after a held linger" 1 (seals "held");
+      check_int "none full" 0 (seals "full"))
+
+let test_batcher_full_window_seals_on_linger () =
+  (* Window of two and slow storage. With two entries in flight, the
+     third batch's grant is under way when the fourth batch's linger
+     expires: the window is full, so that batch is sealed at its
+     linger, as is the fifth while the drainer waits for the window.
+     The two queued batches then share one range grant. *)
+  with_cluster (fun cluster ->
+      let f = Sim.Fault.create () in
+      Sim.Net.install_fault (Corfu.Cluster.net cluster) f;
+      for i = 0 to 3 do
+        Sim.Fault.degrade f ~src:"app" ~dst:(Printf.sprintf "storage-%d" i) ~delay_us:1_000. ()
+      done;
+      let cl = Corfu.Cluster.new_client cluster ~name:"app" in
+      let b = Batcher.create ~client:cl ~batch_size:4 ~linger_us:30. ~append_window:2 () in
+      let pos = submit_at b [ 0.; 150.; 300.; 350.; 500. ] in
+      Sim.Engine.sleep 20_000.;
+      check_bool "all landed" true (Array.for_all (fun p -> p >= 0) pos);
+      check_int "one entry per batch" 5 (Batcher.entries_appended b);
+      check_int "every batch sealed at its linger" 5 (seals "linger");
+      check_int "none held" 0 (seals "held");
+      check_int "four grants" 4 (Batcher.grants b);
+      check_bool
+        (Printf.sprintf "a range grant carried two batches (%d grants, %d entries)"
+           (Batcher.grants b) (Batcher.granted_entries b))
+        true
+        (Batcher.grants b < Batcher.granted_entries b))
+
 let test_batcher_deep_window_ordering () =
   (* With a deep append window, many entries fly concurrently — yet
      the positions handed back must stay consistent with log order
@@ -1331,6 +1396,10 @@ let () =
         [
           Alcotest.test_case "fills batches" `Quick test_batcher_fills_batches;
           Alcotest.test_case "linger flushes partial" `Quick test_batcher_linger_flushes_partial;
+          Alcotest.test_case "held batch joins the grant wait" `Quick
+            test_batcher_held_batch_joins_grant;
+          Alcotest.test_case "full window seals on linger" `Quick
+            test_batcher_full_window_seals_on_linger;
           Alcotest.test_case "deep window keeps log order" `Quick
             test_batcher_deep_window_ordering;
           Alcotest.test_case "pipelined writes linearizable" `Quick
